@@ -22,11 +22,6 @@ constexpr std::uint32_t kMaxSpans = 1024;
 
 std::atomic<bool> g_interrupt{false};
 
-void record_obs(int id, double value) {
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(id, -1, value);
-}
-
 void put_bytes(std::vector<unsigned char>& out, const void* p, std::size_t n) {
   if (n == 0) return;
   const auto* b = static_cast<const unsigned char*>(p);
@@ -271,7 +266,8 @@ long Session::consume_resume(const std::vector<MutSpanView>& spans) {
   resume_pending_ = false;
   const std::vector<unsigned char> bytes = read_file(load_path_);
   const long step = decode(bytes, meta_, &spans);
-  record_obs(obs::kRegionCkptRestored, static_cast<double>(step));
+  obs::ObsRegistry::instance().record(obs::counter_id("ckpt/restored"), -1,
+                                      static_cast<double>(step));
   return step;
 }
 
@@ -317,7 +313,8 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
     decode(read_file(tmp), meta_, nullptr);
   } catch (const CkptError&) {
     ::unlink(tmp.c_str());
-    record_obs(obs::kRegionCkptCrcFail, 1.0);
+    obs::ObsRegistry::instance().record(obs::counter_id("ckpt/crc_fail"), -1,
+                                        1.0);
     return false;
   }
 
@@ -328,7 +325,7 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
                     "': " + std::strerror(err));
   }
   fsync_dir(opts_.dir);
-  record_obs(obs::kRegionCkptSaved, 1.0);
+  obs::ObsRegistry::instance().record(obs::counter_id("ckpt/saved"), -1, 1.0);
   return true;
 }
 

@@ -234,8 +234,8 @@ bool Injector::crossed(CompiledSpec& cs) noexcept {
 
 void Injector::record_injected(int rank) noexcept {
   injected_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(obs::kRegionFaultInjected, rank, 1.0);
+  obs::ObsRegistry::instance().record(obs::counter_id("fault/injected"), rank,
+                                      1.0);
 }
 
 void Injector::on_site_slow(Site site, int rank) {

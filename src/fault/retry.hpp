@@ -138,8 +138,8 @@ class Checkpoint {
     for (Span& s : spans_) {
       if (s.shadow.p == nullptr) continue;
       if (crc::crc32c(s.shadow.p, s.bytes) != s.crc) {
-        if (obs::kActive && obs::ObsRegistry::instance().enabled())
-          obs::ObsRegistry::instance().record(obs::kRegionCkptCrcFail, -1, 1.0);
+        obs::ObsRegistry::instance().record(obs::counter_id("ckpt/crc_fail"),
+                                            -1, 1.0);
         throw RecoveryExhausted(
             "carried-state shadow failed CRC verification; refusing to "
             "restore corrupted checkpoint state");
@@ -248,8 +248,8 @@ class StepRunner {
         return;
       }
       ++attempts;
-      if (obs::kActive && obs::ObsRegistry::instance().enabled())
-        obs::ObsRegistry::instance().record(obs::kRegionFaultRetries, -1, 1.0);
+      obs::ObsRegistry::instance().record(obs::counter_id("fault/retries"), -1,
+                                          1.0);
       ckpt_.restore();
       if (attempts <= inj.max_retries()) {
         if (inj.backoff_ms() > 0)
@@ -296,9 +296,8 @@ class StepRunner {
     width_ = nw;
     inj.clear_failed();
     inj.note_degraded(nw);
-    if (obs::kActive && obs::ObsRegistry::instance().enabled())
-      obs::ObsRegistry::instance().record(obs::kRegionFaultDegradedWidth, -1,
-                                          static_cast<double>(nw));
+    obs::ObsRegistry::instance().record(obs::counter_id("fault/degraded_width"),
+                                        -1, static_cast<double>(nw));
   }
 
   WorkerTeam& base_;

@@ -1,6 +1,5 @@
 #include "mem/mem.hpp"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <new>
@@ -14,19 +13,6 @@
 
 namespace npb::mem {
 namespace {
-
-struct GlobalStats {
-  std::atomic<std::uint64_t> bytes_allocated{0};
-  std::atomic<std::uint64_t> allocations{0};
-  std::atomic<std::uint64_t> arena_hit_bytes{0};
-  std::atomic<std::uint64_t> arena_hits{0};
-  // Atomic: under the service scheduler several job masters run first-touch
-  // fills concurrently (each on its own team).
-  std::atomic<double> first_touch_seconds{0.0};
-  std::atomic<std::uint64_t> first_touch_fills{0};
-};
-
-GlobalStats g_stats;
 
 // Each thread that installs a scoped config owns its own context storage and
 // publishes its address through the threadctx slot; team workers inherit the
@@ -76,28 +62,6 @@ std::optional<std::size_t> parse_alignment(std::string_view spec) {
   return v;
 }
 
-MemStats stats() noexcept {
-  MemStats s;
-  s.bytes_allocated = g_stats.bytes_allocated.load(std::memory_order_relaxed);
-  s.allocations = g_stats.allocations.load(std::memory_order_relaxed);
-  s.arena_hit_bytes = g_stats.arena_hit_bytes.load(std::memory_order_relaxed);
-  s.arena_hits = g_stats.arena_hits.load(std::memory_order_relaxed);
-  s.first_touch_seconds =
-      g_stats.first_touch_seconds.load(std::memory_order_relaxed);
-  s.first_touch_fills =
-      g_stats.first_touch_fills.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_stats() noexcept {
-  g_stats.bytes_allocated.store(0, std::memory_order_relaxed);
-  g_stats.allocations.store(0, std::memory_order_relaxed);
-  g_stats.arena_hit_bytes.store(0, std::memory_order_relaxed);
-  g_stats.arena_hits.store(0, std::memory_order_relaxed);
-  g_stats.first_touch_seconds.store(0.0, std::memory_order_relaxed);
-  g_stats.first_touch_fills.store(0, std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void* raw_alloc(std::size_t bytes, std::size_t alignment, bool huge) {
@@ -133,29 +97,20 @@ Context exchange_context(const Context& next) noexcept {
 }
 
 void note_fresh(std::size_t bytes) noexcept {
-  g_stats.bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
-  g_stats.allocations.fetch_add(1, std::memory_order_relaxed);
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(obs::kRegionMemBytes,
-                                        obs::thread_rank(),
-                                        static_cast<double>(bytes));
+  obs::ObsRegistry::instance().record(obs::counter_id("mem/bytes"),
+                                      obs::thread_rank(),
+                                      static_cast<double>(bytes));
 }
 
 void note_hit(std::size_t bytes) noexcept {
-  g_stats.arena_hit_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_stats.arena_hits.fetch_add(1, std::memory_order_relaxed);
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(obs::kRegionMemArenaHit,
-                                        obs::thread_rank(),
-                                        static_cast<double>(bytes));
+  obs::ObsRegistry::instance().record(obs::counter_id("mem/arena_hit"),
+                                      obs::thread_rank(),
+                                      static_cast<double>(bytes));
 }
 
 void note_first_touch(double seconds) noexcept {
-  g_stats.first_touch_seconds.fetch_add(seconds, std::memory_order_relaxed);
-  g_stats.first_touch_fills.fetch_add(1, std::memory_order_relaxed);
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(obs::kRegionMemFirstTouch,
-                                        obs::thread_rank(), seconds);
+  obs::ObsRegistry::instance().record(obs::counter_id("mem/first_touch"),
+                                      obs::thread_rank(), seconds);
 }
 
 }  // namespace detail

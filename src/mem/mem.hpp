@@ -27,7 +27,7 @@
 // AlignedBuffer consults the context at construction, so the whole array
 // stack inherits the policy without plumbing options through every kernel
 // signature.  Counters (fresh bytes, arena hits, first-touch seconds) feed
-// both the global MemStats and the obs layer's reserved mem/* regions.
+// the obs layer's reserved mem/* counters.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,23 +46,6 @@ namespace npb::mem {
 /// granular) and are usually per-rank scratch that should stay where its
 /// owner allocates it, so first-touch engages only above this size.
 inline constexpr std::size_t kFirstTouchMinBytes = 4096;
-
-/// Process-wide allocation accounting, accumulated across every buffer.
-/// Fresh = memory actually obtained from the allocator (an arena miss or an
-/// arena-less allocation); arena hits recycle a pooled block instead.
-struct MemStats {
-  std::uint64_t bytes_allocated = 0;   ///< fresh bytes
-  std::uint64_t allocations = 0;       ///< fresh block count
-  std::uint64_t arena_hit_bytes = 0;   ///< bytes served from the pool
-  std::uint64_t arena_hits = 0;
-  double first_touch_seconds = 0.0;    ///< wall time of team-placed fills
-  std::uint64_t first_touch_fills = 0;
-};
-
-/// Snapshot of the global counters / zero them (between runs, like
-/// ObsRegistry::reset — callers must not race live allocations).
-MemStats stats() noexcept;
-void reset_stats() noexcept;
 
 /// Buffer pool keyed by exact shape (bytes, alignment, huge flag).  acquire
 /// prefers a pooled block of identical shape — the most recently released

@@ -53,13 +53,13 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
     ShmRunOutcome res = run_shm(width, cfg.fault, body);
     if (!res.crc_blamed.empty()) {
       // Detected wire corruption: record the blamed senders (msg/crc_fail,
-      // stuck_rank convention — the rank id rides the value) and fold them
-      // into the lost-shard path below.  A rank whose bytes rot is as
+      // 1 in each sender's rank slot) and fold them into the lost-shard
+      // path below.  A rank whose bytes rot is as
       // untrustworthy as one that crashed; shrinking past it is the only
       // recovery that cannot re-admit the corruption.
       auto& reg = obs::ObsRegistry::instance();
       for (const int r : res.crc_blamed) {
-        reg.record(obs::kRegionMsgCrcFail, r, static_cast<double>(r));
+        reg.record(obs::counter_id("msg/crc_fail"), r, 1.0);
         bool seen = false;
         for (const int l : res.lost_ranks) seen = seen || l == r;
         if (!seen) res.lost_ranks.push_back(r);
@@ -68,9 +68,8 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
     if (!res.lost_ranks.empty()) {
       auto& reg = obs::ObsRegistry::instance();
       for (const int r : res.lost_ranks) {
-        // stuck_rank convention: the rank id rides the seconds accumulator,
-        // and the per-slot breakdown names the shard.
-        reg.record(obs::kRegionFaultLostShard, r, static_cast<double>(r));
+        // 1 in the lost rank's slot: the per-rank slots name the shard.
+        reg.record(obs::counter_id("fault/lost_shard"), r, 1.0);
         fault::current().note_failed(r);
       }
       lost_total += static_cast<int>(res.lost_ranks.size());
@@ -85,7 +84,8 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
                                  std::to_string(lost_total) + " shard(s)");
       width = next;
       fault::current().note_degraded(width);
-      reg.record(obs::kRegionFaultDegradedWidth, -1, static_cast<double>(width));
+      reg.record(obs::counter_id("fault/degraded_width"), -1,
+                 static_cast<double>(width));
       continue;
     }
     if (!res.error.empty()) throw std::runtime_error(res.error);

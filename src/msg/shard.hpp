@@ -33,9 +33,9 @@ struct HybridOutcome {
 /// width (std::invalid_argument) and steered around while degrading.
 ///
 /// Shm recovery: every rank that dies or goes heartbeat-silent is recorded
-/// under obs fault/lost_shard (rank-id-in-seconds, the stuck_rank
-/// convention) and noted failed; the run then re-forks at the next viable
-/// width below `width - lost` (fault/degraded_width records it), or throws
+/// under obs fault/lost_shard (1 in the lost rank's slot) and noted failed;
+/// the run then re-forks at the next viable width below `width - lost`
+/// (fault/degraded_width records it), or throws
 /// std::runtime_error when cfg.fault.allow_degraded is off or no viable
 /// width remains.  A clean worker error (its body threw) is rethrown as
 /// std::runtime_error instead of degrading — the code is wrong, not the

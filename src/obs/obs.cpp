@@ -28,31 +28,9 @@ struct ObsRegistry::Impl {
 ObsRegistry::ObsRegistry()
     : impl_(new Impl),
       cells_(new Cell[static_cast<std::size_t>(kMaxRegions) * kSlots]) {
-  // The reserved team counters occupy fixed ids so the par runtime can
+  // The reserved counters occupy fixed ids so the runtime layers can
   // record without a lookup.
-  intern("team/run_span");
-  intern("team/dispatch");
-  intern("team/barrier_wait");
-  intern("team/pipeline_wait");
-  intern("team/loop_iters");
-  intern("mem/bytes");
-  intern("mem/arena_hit");
-  intern("mem/first_touch");
-  intern("team/dispatches");
-  intern("team/region_span");
-  intern("fault/injected");
-  intern("fault/watchdog_fires");
-  intern("fault/stuck_rank");
-  intern("fault/retries");
-  intern("fault/degraded_width");
-  intern("fault/lost_shard");
-  intern("steal/steals");
-  intern("steal/attempts");
-  intern("steal/deque_max");
-  intern("ckpt/saved");
-  intern("ckpt/restored");
-  intern("ckpt/crc_fail");
-  intern("msg/crc_fail");
+  for (const Counter& c : kCounters) intern(c.path);
 }
 
 ObsRegistry& ObsRegistry::instance() {
@@ -94,6 +72,7 @@ void ObsRegistry::reset() noexcept {
 
 Snapshot ObsRegistry::snapshot() const {
   Snapshot snap;
+  snap.rank_slots.resize(kReservedRegions);
   std::lock_guard<std::mutex> lk(impl_->m);
   const int n = impl_->n_regions.load(std::memory_order_relaxed);
   for (int id = 0; id < n; ++id) {
@@ -114,108 +93,15 @@ Snapshot ObsRegistry::snapshot() const {
       st.rank_seconds[s] = row[s].seconds;
       st.rank_count[s] = row[s].count;
     }
-    switch (id) {
-      case kRegionRunSpan:
-        snap.run_span_seconds = st.seconds;
-        snap.run_count = st.count;
-        break;
-      case kRegionDispatch:
-        snap.dispatch_seconds = st.seconds;
-        snap.dispatch_count = st.count;
-        break;
-      case kRegionBarrierWait:
-        snap.barrier_wait_seconds = st.seconds;
-        snap.barrier_wait_count = st.count;
-        break;
-      case kRegionPipelineWait:
-        snap.pipeline_wait_seconds = st.seconds;
-        snap.pipeline_wait_count = st.count;
-        break;
-      case kRegionLoopIters:
-        snap.loop_iters_total = st.seconds;
-        snap.loop_record_count = st.count;
-        snap.loop_rank_iters = std::move(st.rank_seconds);
-        snap.loop_rank_count = std::move(st.rank_count);
-        break;
-      case kRegionMemBytes:
-        snap.mem_bytes_allocated = st.seconds;
-        snap.mem_alloc_count = st.count;
-        break;
-      case kRegionMemArenaHit:
-        snap.mem_arena_hit_bytes = st.seconds;
-        snap.mem_arena_hit_count = st.count;
-        break;
-      case kRegionMemFirstTouch:
-        snap.first_touch_seconds = st.seconds;
-        snap.first_touch_count = st.count;
-        break;
-      case kRegionDispatches:
-        snap.dispatches_total = st.seconds;
-        snap.dispatches_count = st.count;
-        break;
-      case kRegionRegionSpan:
-        snap.region_span_seconds = st.seconds;
-        snap.region_count = st.count;
-        break;
-      case kRegionFaultInjected:
-        snap.fault_injected_total = st.seconds;
-        snap.fault_injected_count = st.count;
-        break;
-      case kRegionFaultWatchdogFires:
-        snap.watchdog_fires_total = st.seconds;
-        snap.watchdog_fires_count = st.count;
-        break;
-      case kRegionFaultStuckRank:
-        snap.stuck_rank_sum = st.seconds;
-        snap.stuck_rank_count = st.count;
-        break;
-      case kRegionFaultRetries:
-        snap.fault_retries_total = st.seconds;
-        snap.fault_retries_count = st.count;
-        break;
-      case kRegionFaultDegradedWidth:
-        snap.degraded_width_sum = st.seconds;
-        snap.degraded_width_count = st.count;
-        break;
-      case kRegionFaultLostShard:
-        snap.lost_shard_sum = st.seconds;
-        snap.lost_shard_count = st.count;
-        break;
-      case kRegionStealSteals:
-        snap.steal_steals_total = st.seconds;
-        snap.steal_steals_count = st.count;
-        snap.steal_rank_steals = std::move(st.rank_seconds);
-        break;
-      case kRegionStealAttempts:
-        snap.steal_attempts_total = st.seconds;
-        snap.steal_attempts_count = st.count;
-        snap.steal_rank_attempts = std::move(st.rank_seconds);
-        break;
-      case kRegionStealDequeMax:
-        snap.steal_deque_max_sum = st.seconds;
-        snap.steal_deque_max_count = st.count;
-        snap.steal_rank_deque_max = std::move(st.rank_seconds);
-        break;
-      case kRegionCkptSaved:
-        snap.ckpt_saved_total = st.seconds;
-        snap.ckpt_saved_count = st.count;
-        break;
-      case kRegionCkptRestored:
-        snap.ckpt_restored_step_sum = st.seconds;
-        snap.ckpt_restored_count = st.count;
-        break;
-      case kRegionCkptCrcFail:
-        snap.ckpt_crc_fail_total = st.seconds;
-        snap.ckpt_crc_fail_count = st.count;
-        break;
-      case kRegionMsgCrcFail:
-        snap.msg_crc_fail_rank_sum = st.seconds;
-        snap.msg_crc_fail_count = st.count;
-        break;
-      default:
-        snap.regions.push_back(std::move(st));
-        break;
+    if (id >= kReservedRegions) {
+      snap.regions.push_back(std::move(st));
+      continue;
     }
+    const Counter& c = kCounters[id];
+    snap.*c.value = st.seconds;
+    snap.*c.count = st.count;
+    snap.rank_slots[static_cast<std::size_t>(id)] = {std::move(st.rank_seconds),
+                                                     std::move(st.rank_count)};
   }
   return snap;
 }

@@ -10,64 +10,13 @@
 // overhead goes, why LU's in-loop synchronization hurts — can be read back
 // directly.
 //
-// Reserved regions (fixed ids, recorded by the par runtime itself):
-//   team/run_span      master-side wall time of each WorkerTeam::run()
-//   team/dispatch      master notify -> worker start latency, per rank
-//   team/barrier_wait  arrive -> release time in team barriers, per rank
-//   team/pipeline_wait spin time in PipelineSync::wait_for, per rank
-//   team/loop_iters    iterations executed per rank in scheduled loops (the
-//                      "seconds" accumulator holds an iteration count here;
-//                      reports derive the per-rank distribution and its
-//                      max/mean imbalance from it)
-//   mem/bytes          fresh bytes obtained from the allocator by the mem
-//                      subsystem ("seconds" holds a byte count, like
-//                      loop_iters holds iterations; count = allocations)
-//   mem/arena_hit      bytes served from the arena pool instead of a fresh
-//                      allocation (count = pool hits)
-//   mem/first_touch    wall time of team-executed first-touch fills (real
-//                      seconds; count = placed fills)
-//   team/dispatches    number of WorkerTeam::run() dispatches ("seconds"
-//                      rides the count, 1.0 per dispatch, so fused-vs-forked
-//                      ablations can read dispatches/step off the snapshot)
-//   team/region_span   master-side wall time of each fused spmd() region
-//                      (count = regions entered)
-//   fault/injected     faults fired by the injector ("seconds" rides 1.0 per
-//                      fire, so total == count), per blamed rank
-//   fault/watchdog_fires  barrier-watchdog escalations to Barrier::abort()
-//                      (1.0 per fire)
-//   fault/stuck_rank   rank ids the watchdog blamed ("seconds" accumulates
-//                      the rank number per fire; count = blames, and the
-//                      per-slot breakdown shows which rank was stuck)
-//   fault/retries      time-step retries performed by StepRunner (1.0 each)
-//   fault/degraded_width  team widths adopted by graceful degradation
-//                      ("seconds" accumulates the new width per shrink;
-//                      count = shrinks)
-//   fault/lost_shard   worker processes of a hybrid shm run that died or
-//                      went silent mid-run ("seconds" accumulates the lost
-//                      rank id per loss, the stuck_rank convention; count =
-//                      losses, and the per-slot breakdown shows which shard)
-//   ckpt/saved         durable checkpoints flushed by StepRunner via the
-//                      ckpt session (1.0 per committed flush)
-//   ckpt/restored      resumes that restored carried state from a durable
-//                      checkpoint ("seconds" accumulates the restored step
-//                      number per resume; count = resumes)
-//   ckpt/crc_fail      checkpoint integrity failures: a flushed payload
-//                      whose readback CRC32C mismatched (the write was
-//                      discarded, the last good checkpoint kept) or a
-//                      corrupted in-memory shadow (1.0 per detection)
-//   msg/crc_fail       shm transport frames whose CRC32C check failed
-//                      ("seconds" accumulates the blamed sender rank per
-//                      detection, the stuck_rank convention; count =
-//                      detections)
-//   steal/steals       jobs obtained by work-stealing ("seconds" rides the
-//                      job count, per thief rank; count = scope flushes
-//                      that stole anything)
-//   steal/attempts     steal attempts, successful or not, per rank (same
-//                      count convention)
-//   steal/deque_max    deepest any rank's task deque got ("seconds"
-//                      accumulates each scope's per-rank depth watermark;
-//                      count = scopes, so value/count is the mean per-scope
-//                      peak)
+// The reserved counters the runtime layers record themselves (team
+// dispatch and barriers, mem, fault, steal, ckpt, msg) are the rows of
+// kCounters below.  A row names the counter's path, its unit and its
+// Snapshot fields; interning, snapshot extraction, the report emitters and
+// the shard wire format all loop over that table, so adding a counter takes
+// a value/count field pair in Snapshot and one row.  Every counter keeps its
+// per-rank slots like a user region does.
 //
 // Compile with -DNPB_OBS_DISABLED to replace the whole API with inline
 // no-ops (distinct inline namespace, so mixed translation units stay
@@ -75,6 +24,7 @@
 // snapshot field keeps one layout.
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,131 +47,206 @@ struct RegionStats {
   std::vector<std::uint64_t> rank_count;
 };
 
-/// One run's worth of instrumentation: user regions plus the team counters
-/// (extracted from the reserved regions).
+/// Per-rank slots of one reserved counter, laid out like RegionStats':
+/// slot 0 is the master, slot r+1 is worker rank r, trimmed to the highest
+/// slot that recorded anything.
+struct RankSlots {
+  std::vector<double> value;
+  std::vector<std::uint64_t> count;
+};
+
+/// One run's worth of instrumentation: user regions plus one value/count
+/// pair per reserved counter (a kCounters row) and that counter's per-rank
+/// slots.
 struct Snapshot {
   std::vector<RegionStats> regions;
+  /// Indexed by the counter's RegionId; empty in a snapshot no registry
+  /// filled, so read it through slots().
+  std::vector<RankSlots> rank_slots;
+
   double run_span_seconds = 0.0;
   std::uint64_t run_count = 0;
   double dispatch_seconds = 0.0;
   std::uint64_t dispatch_count = 0;
+  double dispatches_total = 0.0;
+  std::uint64_t dispatches_count = 0;
+  double region_span_seconds = 0.0;
+  std::uint64_t region_count = 0;
   double barrier_wait_seconds = 0.0;
   std::uint64_t barrier_wait_count = 0;
   double pipeline_wait_seconds = 0.0;
   std::uint64_t pipeline_wait_count = 0;
-  /// team/loop_iters: total iterations executed in scheduled loops, the
-  /// per-slot distribution (slot 0 = master/serial, slot r+1 = rank r), and
-  /// how many per-rank loop passes recorded.
   double loop_iters_total = 0.0;
   std::uint64_t loop_record_count = 0;
-  std::vector<double> loop_rank_iters;
-  std::vector<std::uint64_t> loop_rank_count;
-
-  /// mem/*: allocation traffic of the mem subsystem (bytes ride in the
-  /// seconds accumulators, exactly like loop_iters rides iterations).
   double mem_bytes_allocated = 0.0;
   std::uint64_t mem_alloc_count = 0;
   double mem_arena_hit_bytes = 0.0;
   std::uint64_t mem_arena_hit_count = 0;
   double first_touch_seconds = 0.0;
   std::uint64_t first_touch_count = 0;
-
-  /// team/dispatches: WorkerTeam::run() dispatch count (the "seconds"
-  /// accumulator carries 1.0 per dispatch, so total == count).
-  double dispatches_total = 0.0;
-  std::uint64_t dispatches_count = 0;
-  /// team/region_span: master wall time spent inside fused spmd() regions.
-  double region_span_seconds = 0.0;
-  std::uint64_t region_count = 0;
-
-  /// fault/*: recovery activity (injector fires, watchdog escalations,
-  /// step retries, degraded team widths).  The value columns follow the
-  /// loop_iters convention: counts or rank ids ride the seconds accumulator.
   double fault_injected_total = 0.0;
   std::uint64_t fault_injected_count = 0;
   double watchdog_fires_total = 0.0;
   std::uint64_t watchdog_fires_count = 0;
-  double stuck_rank_sum = 0.0;
+  double stuck_rank_total = 0.0;
   std::uint64_t stuck_rank_count = 0;
   double fault_retries_total = 0.0;
   std::uint64_t fault_retries_count = 0;
   double degraded_width_sum = 0.0;
   std::uint64_t degraded_width_count = 0;
-  double lost_shard_sum = 0.0;
+  double lost_shard_total = 0.0;
   std::uint64_t lost_shard_count = 0;
-
-  /// ckpt/* and msg/crc_fail: durable checkpoint/restart activity and
-  /// transport integrity detections (same value-rides-seconds convention).
+  double steal_steals_total = 0.0;
+  std::uint64_t steal_steals_count = 0;
+  double steal_attempts_total = 0.0;
+  std::uint64_t steal_attempts_count = 0;
+  double steal_deque_max_sum = 0.0;
+  std::uint64_t steal_deque_max_count = 0;
   double ckpt_saved_total = 0.0;
   std::uint64_t ckpt_saved_count = 0;
   double ckpt_restored_step_sum = 0.0;
   std::uint64_t ckpt_restored_count = 0;
   double ckpt_crc_fail_total = 0.0;
   std::uint64_t ckpt_crc_fail_count = 0;
-  double msg_crc_fail_rank_sum = 0.0;
+  double msg_crc_fail_total = 0.0;
   std::uint64_t msg_crc_fail_count = 0;
 
-  /// steal/*: work-stealing task-runtime activity, flushed per rank when a
-  /// task scope closes.  Job and attempt counts ride the seconds
-  /// accumulators (the loop_iters convention); the per-slot vectors keep
-  /// the per-rank breakdown (slot 0 = master/rank -1, slot r+1 = rank r).
-  double steal_steals_total = 0.0;
-  std::uint64_t steal_steals_count = 0;
-  std::vector<double> steal_rank_steals;
-  double steal_attempts_total = 0.0;
-  std::uint64_t steal_attempts_count = 0;
-  std::vector<double> steal_rank_attempts;
-  double steal_deque_max_sum = 0.0;
-  std::uint64_t steal_deque_max_count = 0;
-  std::vector<double> steal_rank_deque_max;
+  /// Per-rank slots of reserved counter `id` (empty when none recorded).
+  const RankSlots& slots(RegionId id) const noexcept {
+    static const RankSlots kNone;
+    return id >= 0 && static_cast<std::size_t>(id) < rank_slots.size()
+               ? rank_slots[static_cast<std::size_t>(id)]
+               : kNone;
+  }
 
   /// Max-over-mean of per-worker iteration counts in scheduled loops: 1.0 is
   /// perfectly balanced, nranks is one rank doing everything, 0.0 means no
   /// scheduled loop recorded.  Worker slots only (slot 0 falls back in when
   /// only the serial path recorded).
-  double loop_imbalance() const noexcept {
-    double mx = 0.0, sum = 0.0;
-    int n = 0;
-    for (std::size_t s = 1; s < loop_rank_count.size(); ++s) {
-      if (loop_rank_count[s] == 0) continue;
-      const double v = loop_rank_iters[s];
-      if (v > mx) mx = v;
-      sum += v;
-      ++n;
-    }
-    if (n == 0) {
-      if (loop_rank_count.empty() || loop_rank_count[0] == 0) return 0.0;
-      return 1.0;  // serial path: trivially balanced
-    }
-    const double mean = sum / static_cast<double>(n);
-    return mean > 0.0 ? mx / mean : 0.0;
-  }
+  double loop_imbalance() const noexcept;
 };
 
-inline constexpr RegionId kRegionRunSpan = 0;
-inline constexpr RegionId kRegionDispatch = 1;
-inline constexpr RegionId kRegionBarrierWait = 2;
-inline constexpr RegionId kRegionPipelineWait = 3;
-inline constexpr RegionId kRegionLoopIters = 4;
-inline constexpr RegionId kRegionMemBytes = 5;
-inline constexpr RegionId kRegionMemArenaHit = 6;
-inline constexpr RegionId kRegionMemFirstTouch = 7;
-inline constexpr RegionId kRegionDispatches = 8;
-inline constexpr RegionId kRegionRegionSpan = 9;
-inline constexpr RegionId kRegionFaultInjected = 10;
-inline constexpr RegionId kRegionFaultWatchdogFires = 11;
-inline constexpr RegionId kRegionFaultStuckRank = 12;
-inline constexpr RegionId kRegionFaultRetries = 13;
-inline constexpr RegionId kRegionFaultDegradedWidth = 14;
-inline constexpr RegionId kRegionFaultLostShard = 15;
-inline constexpr RegionId kRegionStealSteals = 16;
-inline constexpr RegionId kRegionStealAttempts = 17;
-inline constexpr RegionId kRegionStealDequeMax = 18;
-inline constexpr RegionId kRegionCkptSaved = 19;
-inline constexpr RegionId kRegionCkptRestored = 20;
-inline constexpr RegionId kRegionCkptCrcFail = 21;
-inline constexpr RegionId kRegionMsgCrcFail = 22;
-inline constexpr int kReservedRegions = 23;
+/// What a counter's value accumulates; its count is always events recorded.
+enum class Unit { Seconds, Count, Bytes, Iterations, Width, Step };
+
+inline constexpr std::string_view kUnitNames[] = {
+    "seconds", "count", "bytes", "iterations", "width", "step"};
+
+constexpr std::string_view unit_name(Unit u) noexcept {
+  return kUnitNames[static_cast<int>(u)];
+}
+
+/// One reserved counter: its registry path, the unit of its value, and the
+/// Snapshot fields the value and count land in.
+struct Counter {
+  std::string_view path;
+  Unit unit;
+  double Snapshot::*value;
+  std::uint64_t Snapshot::*count;
+};
+
+/// The reserved counters; a row's index is its RegionId.  "Per rank" rows
+/// attribute to the recording (or blamed) rank's slot, the rest to slot 0.
+inline constexpr Counter kCounters[] = {
+    // Master wall time of each WorkerTeam::run() fork-join.
+    {"team/run_span", Unit::Seconds, &Snapshot::run_span_seconds,
+     &Snapshot::run_count},
+    // Master notify -> worker start latency, per rank.
+    {"team/dispatch", Unit::Seconds, &Snapshot::dispatch_seconds,
+     &Snapshot::dispatch_count},
+    // WorkerTeam::run() dispatches, 1 each: fused-vs-forked dispatches/step.
+    {"team/dispatches", Unit::Count, &Snapshot::dispatches_total,
+     &Snapshot::dispatches_count},
+    // Master wall time inside fused spmd() regions; count = regions entered.
+    {"team/region_span", Unit::Seconds, &Snapshot::region_span_seconds,
+     &Snapshot::region_count},
+    // Arrive -> release time in team barriers, per rank.
+    {"team/barrier_wait", Unit::Seconds, &Snapshot::barrier_wait_seconds,
+     &Snapshot::barrier_wait_count},
+    // Spin time in PipelineSync::wait_for, per rank (LU's wavefront).
+    {"team/pipeline_wait", Unit::Seconds, &Snapshot::pipeline_wait_seconds,
+     &Snapshot::pipeline_wait_count},
+    // Iterations run per rank in scheduled loops; count = per-rank passes.
+    {"team/loop_iters", Unit::Iterations, &Snapshot::loop_iters_total,
+     &Snapshot::loop_record_count},
+    // Fresh bytes obtained from the allocator; count = allocations.
+    {"mem/bytes", Unit::Bytes, &Snapshot::mem_bytes_allocated,
+     &Snapshot::mem_alloc_count},
+    // Bytes served warm from the arena pool; count = pool hits.
+    {"mem/arena_hit", Unit::Bytes, &Snapshot::mem_arena_hit_bytes,
+     &Snapshot::mem_arena_hit_count},
+    // Wall time of team-executed first-touch fills; count = fills.
+    {"mem/first_touch", Unit::Seconds, &Snapshot::first_touch_seconds,
+     &Snapshot::first_touch_count},
+    // Faults fired by the injector, per rank.
+    {"fault/injected", Unit::Count, &Snapshot::fault_injected_total,
+     &Snapshot::fault_injected_count},
+    // Barrier-watchdog escalations to Barrier::abort().
+    {"fault/watchdog_fires", Unit::Count, &Snapshot::watchdog_fires_total,
+     &Snapshot::watchdog_fires_count},
+    // Ranks the watchdog found absent, 1 in each blamed rank's slot.
+    {"fault/stuck_rank", Unit::Count, &Snapshot::stuck_rank_total,
+     &Snapshot::stuck_rank_count},
+    // Time-step retries performed by StepRunner.
+    {"fault/retries", Unit::Count, &Snapshot::fault_retries_total,
+     &Snapshot::fault_retries_count},
+    // Width adopted by each graceful-degradation shrink; count = shrinks.
+    {"fault/degraded_width", Unit::Width, &Snapshot::degraded_width_sum,
+     &Snapshot::degraded_width_count},
+    // Shm shards that died or went silent, 1 in each lost rank's slot.
+    {"fault/lost_shard", Unit::Count, &Snapshot::lost_shard_total,
+     &Snapshot::lost_shard_count},
+    // Jobs taken by work stealing, per thief; count = scopes that stole.
+    {"steal/steals", Unit::Count, &Snapshot::steal_steals_total,
+     &Snapshot::steal_steals_count},
+    // Steal attempts, successful or not, per rank.
+    {"steal/attempts", Unit::Count, &Snapshot::steal_attempts_total,
+     &Snapshot::steal_attempts_count},
+    // Each task scope's deque depth watermark per rank; count = scopes.
+    {"steal/deque_max", Unit::Count, &Snapshot::steal_deque_max_sum,
+     &Snapshot::steal_deque_max_count},
+    // Durable checkpoints committed by StepRunner's flushes.
+    {"ckpt/saved", Unit::Count, &Snapshot::ckpt_saved_total,
+     &Snapshot::ckpt_saved_count},
+    // Step restored by each resume from a checkpoint; count = resumes.
+    {"ckpt/restored", Unit::Step, &Snapshot::ckpt_restored_step_sum,
+     &Snapshot::ckpt_restored_count},
+    // Checkpoint CRC32C failures: flushed readback or in-memory shadow.
+    {"ckpt/crc_fail", Unit::Count, &Snapshot::ckpt_crc_fail_total,
+     &Snapshot::ckpt_crc_fail_count},
+    // Corrupt shm frames, 1 in the blamed sender's slot.
+    {"msg/crc_fail", Unit::Count, &Snapshot::msg_crc_fail_total,
+     &Snapshot::msg_crc_fail_count},
+};
+
+inline constexpr int kReservedRegions = static_cast<int>(std::size(kCounters));
+
+/// RegionId of the reserved counter at `path`; an unknown path does not
+/// compile.
+consteval RegionId counter_id(std::string_view path) {
+  for (int id = 0; id < kReservedRegions; ++id)
+    if (kCounters[id].path == path) return id;
+  throw "obs: no reserved counter has this path";
+}
+
+inline double Snapshot::loop_imbalance() const noexcept {
+  const RankSlots& s = slots(counter_id("team/loop_iters"));
+  double mx = 0.0, sum = 0.0;
+  int n = 0;
+  for (std::size_t i = 1; i < s.count.size(); ++i) {
+    if (s.count[i] == 0) continue;
+    const double v = s.value[i];
+    if (v > mx) mx = v;
+    sum += v;
+    ++n;
+  }
+  if (n == 0) {
+    if (s.count.empty() || s.count[0] == 0) return 0.0;
+    return 1.0;  // serial path: trivially balanced
+  }
+  const double mean = sum / static_cast<double>(n);
+  return mean > 0.0 ? mx / mean : 0.0;
+}
 
 /// Worker ranks 0..kMaxRanks-1 get their own slot; higher ranks are dropped.
 inline constexpr int kMaxRanks = 32;

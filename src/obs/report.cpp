@@ -1,132 +1,44 @@
 #include "obs/report.hpp"
 
-#include <cstdint>
 #include <cstdio>
-#include <type_traits>
 #include <utility>
+
+#include "common/json.hpp"
 
 namespace npb::obs {
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
 template <class T>
-void append_array(std::string& out, const std::vector<T>& v) {
-  out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    if constexpr (std::is_same_v<T, double>) {
-      append_number(out, v[i]);
-    } else {
-      out += std::to_string(v[i]);
-    }
-  }
-  out += ']';
+json::Value array_of(const std::vector<T>& v) {
+  return json::Value::Array(v.begin(), v.end());
 }
 
-/// Emits the snapshot body shared by a run entry and each of its shards:
-/// `"team":{...},"mem":{...},"fault":{...},"regions":[...]` (no braces).
-void append_snapshot_body(std::string& out, const Snapshot& s) {
-  out += "\"team\":{\"run_count\":" + std::to_string(s.run_count);
-  out += ",\"run_span_seconds\":";
-  append_number(out, s.run_span_seconds);
-  out += ",\"dispatch_count\":" + std::to_string(s.dispatch_count);
-  out += ",\"dispatch_seconds\":";
-  append_number(out, s.dispatch_seconds);
-  out += ",\"barrier_wait_count\":" + std::to_string(s.barrier_wait_count);
-  out += ",\"barrier_wait_seconds\":";
-  append_number(out, s.barrier_wait_seconds);
-  out += ",\"pipeline_wait_count\":" + std::to_string(s.pipeline_wait_count);
-  out += ",\"pipeline_wait_seconds\":";
-  append_number(out, s.pipeline_wait_seconds);
-  out += ",\"dispatches\":" + std::to_string(s.dispatches_count);
-  out += ",\"region_count\":" + std::to_string(s.region_count);
-  out += ",\"region_span_seconds\":";
-  append_number(out, s.region_span_seconds);
-  out += ",\"loop_record_count\":" + std::to_string(s.loop_record_count);
-  out += ",\"loop_iters_total\":";
-  append_number(out, s.loop_iters_total);
-  out += ",\"loop_rank_iters\":";
-  append_array(out, s.loop_rank_iters);
-  out += ",\"loop_imbalance\":";
-  append_number(out, s.loop_imbalance());
-  out += "},\"mem\":{\"alloc_count\":" + std::to_string(s.mem_alloc_count);
-  out += ",\"bytes_allocated\":";
-  append_number(out, s.mem_bytes_allocated);
-  out += ",\"arena_hit_count\":" + std::to_string(s.mem_arena_hit_count);
-  out += ",\"arena_hit_bytes\":";
-  append_number(out, s.mem_arena_hit_bytes);
-  out += ",\"first_touch_count\":" + std::to_string(s.first_touch_count);
-  out += ",\"first_touch_seconds\":";
-  append_number(out, s.first_touch_seconds);
-  out += "},\"fault\":{\"injected\":" + std::to_string(s.fault_injected_count);
-  out += ",\"watchdog_fires\":" + std::to_string(s.watchdog_fires_count);
-  out += ",\"stuck_rank_count\":" + std::to_string(s.stuck_rank_count);
-  out += ",\"stuck_rank_sum\":";
-  append_number(out, s.stuck_rank_sum);
-  out += ",\"retries\":" + std::to_string(s.fault_retries_count);
-  out += ",\"degraded_width_count\":" + std::to_string(s.degraded_width_count);
-  out += ",\"degraded_width_sum\":";
-  append_number(out, s.degraded_width_sum);
-  out += ",\"lost_shard_count\":" + std::to_string(s.lost_shard_count);
-  out += ",\"lost_shard_sum\":";
-  append_number(out, s.lost_shard_sum);
-  out += "},\"ckpt\":{\"saved\":" + std::to_string(s.ckpt_saved_count);
-  out += ",\"restored\":" + std::to_string(s.ckpt_restored_count);
-  out += ",\"restored_step_sum\":";
-  append_number(out, s.ckpt_restored_step_sum);
-  out += ",\"crc_fail\":" + std::to_string(s.ckpt_crc_fail_count);
-  out += "},\"msg\":{\"crc_fail\":" + std::to_string(s.msg_crc_fail_count);
-  out += ",\"crc_fail_rank_sum\":";
-  append_number(out, s.msg_crc_fail_rank_sum);
-  out += "},\"steal\":{\"steals\":";
-  append_number(out, s.steal_steals_total);
-  out += ",\"attempts\":";
-  append_number(out, s.steal_attempts_total);
-  out += ",\"deque_max_sum\":";
-  append_number(out, s.steal_deque_max_sum);
-  out += ",\"scope_flushes\":" + std::to_string(s.steal_deque_max_count);
-  out += ",\"rank_steals\":";
-  append_array(out, s.steal_rank_steals);
-  out += ",\"rank_attempts\":";
-  append_array(out, s.steal_rank_attempts);
-  out += ",\"rank_deque_max\":";
-  append_array(out, s.steal_rank_deque_max);
-  out += "},\"regions\":[";
-  for (std::size_t r = 0; r < s.regions.size(); ++r) {
-    const RegionStats& st = s.regions[r];
-    if (r > 0) out += ',';
-    out += "{\"name\":\"";
-    append_escaped(out, st.name);
-    out += "\",\"seconds\":";
-    append_number(out, st.seconds);
-    out += ",\"count\":" + std::to_string(st.count);
-    out += ",\"rank_seconds\":";
-    append_array(out, st.rank_seconds);
-    out += ",\"rank_count\":";
-    append_array(out, st.rank_count);
-    out += '}';
+json::Value counter_json(Unit unit, double value, std::uint64_t count,
+                         const std::vector<double>& rank_value,
+                         const std::vector<std::uint64_t>& rank_count) {
+  return json::Value::Object{{"unit", unit_name(unit)},
+                             {"value", value},
+                             {"count", count},
+                             {"rank_value", array_of(rank_value)},
+                             {"rank_count", array_of(rank_count)}};
+}
+
+/// The snapshot part shared by a run entry and each of its shards.
+json::Value snapshot_json(const Snapshot& s) {
+  json::Value::Object counters;
+  for (int id = 0; id < kReservedRegions; ++id) {
+    const Counter& c = kCounters[id];
+    const RankSlots& slots = s.slots(id);
+    counters.emplace(c.path, counter_json(c.unit, s.*c.value, s.*c.count,
+                                          slots.value, slots.count));
   }
-  out += ']';
+  json::Value::Object regions;
+  for (const RegionStats& st : s.regions)
+    regions.emplace(st.name, counter_json(Unit::Seconds, st.seconds, st.count,
+                                          st.rank_seconds, st.rank_count));
+  return json::Value::Object{{"counters", std::move(counters)},
+                             {"regions", std::move(regions)},
+                             {"loop_imbalance", s.loop_imbalance()}};
 }
 
 }  // namespace
@@ -140,98 +52,60 @@ void ObsReport::add_run(std::string benchmark, std::string cls, std::string mode
 }
 
 std::string ObsReport::json() const {
-  std::string out = "{\"runs\":[";
-  for (std::size_t e = 0; e < entries_.size(); ++e) {
-    const Entry& en = entries_[e];
-    if (e > 0) out += ',';
-    out += "{\"benchmark\":\"";
-    append_escaped(out, en.benchmark);
-    out += "\",\"class\":\"";
-    append_escaped(out, en.cls);
-    out += "\",\"mode\":\"";
-    append_escaped(out, en.mode);
-    out += "\",\"threads\":" + std::to_string(en.threads);
-    out += ",\"seconds\":";
-    append_number(out, en.seconds);
-    if (en.procs > 0) out += ",\"procs\":" + std::to_string(en.procs);
-    out += ',';
-    append_snapshot_body(out, en.snap);
+  json::Value::Array runs;
+  for (const Entry& en : entries_) {
+    json::Value run = snapshot_json(en.snap);
+    run["benchmark"] = en.benchmark;
+    run["class"] = en.cls;
+    run["mode"] = en.mode;
+    run["threads"] = en.threads;
+    run["seconds"] = en.seconds;
+    if (en.procs > 0) run["procs"] = en.procs;
     if (!en.shards.empty()) {
-      out += ",\"shards\":[";
-      for (std::size_t i = 0; i < en.shards.size(); ++i) {
-        const ShardSnapshot& sh = en.shards[i];
-        if (i > 0) out += ',';
-        out += "{\"rank\":" + std::to_string(sh.rank);
-        out += ",\"seconds\":";
-        append_number(out, sh.seconds);
-        out += ',';
-        append_snapshot_body(out, sh.snap);
-        out += '}';
+      json::Value::Array shards;
+      for (const ShardSnapshot& sh : en.shards) {
+        json::Value shard = snapshot_json(sh.snap);
+        shard["rank"] = sh.rank;
+        shard["seconds"] = sh.seconds;
+        shards.push_back(std::move(shard));
       }
-      out += ']';
+      run["shards"] = std::move(shards);
     }
-    out += '}';
+    runs.push_back(std::move(run));
   }
-  out += "]}";
-  return out;
+  return json::Value(json::Value::Object{{"schema_version", kSchemaVersion},
+                                         {"runs", std::move(runs)}})
+      .dump();
 }
 
 std::string ObsReport::csv() const {
-  std::string out = "benchmark,class,mode,threads,run_seconds,region,seconds,count\n";
-  auto row = [&out](const Entry& en, const std::string& region, double seconds,
-                    std::uint64_t count) {
-    out += en.benchmark + ',' + en.cls + ',' + en.mode + ',' +
-           std::to_string(en.threads) + ',';
-    append_number(out, en.seconds);
-    out += ',' + region + ',';
-    append_number(out, seconds);
-    out += ',' + std::to_string(count) + '\n';
-  };
+  std::string out =
+      "benchmark,class,mode,threads,run_seconds,region,unit,value,count\n";
   for (const Entry& en : entries_) {
+    const std::string prefix = en.benchmark + ',' + en.cls + ',' + en.mode +
+                               ',' + std::to_string(en.threads) + ',' +
+                               json::number_to_string(en.seconds) + ',';
+    auto row = [&](const std::string& region, std::string_view unit,
+                   double value, std::uint64_t count) {
+      out += prefix + region + ',';
+      out += unit;
+      out += ',' + json::number_to_string(value) + ',' +
+             std::to_string(count) + '\n';
+    };
     const Snapshot& s = en.snap;
-    row(en, "team/run_span", s.run_span_seconds, s.run_count);
-    row(en, "team/dispatch", s.dispatch_seconds, s.dispatch_count);
-    row(en, "team/barrier_wait", s.barrier_wait_seconds, s.barrier_wait_count);
-    row(en, "team/pipeline_wait", s.pipeline_wait_seconds, s.pipeline_wait_count);
-    // team/dispatches carries the dispatch count in the seconds column (1.0
-    // per run()); team/region_span is real seconds inside fused regions.
-    row(en, "team/dispatches", s.dispatches_total, s.dispatches_count);
-    row(en, "team/region_span", s.region_span_seconds, s.region_count);
-    // loop_iters abuses the seconds column for an iteration count; the
-    // imbalance row makes the flat file self-contained for schedule tables.
-    row(en, "team/loop_iters", s.loop_iters_total, s.loop_record_count);
-    row(en, "team/loop_imbalance", s.loop_imbalance(), s.loop_record_count);
-    // mem/bytes and mem/arena_hit ride byte counts in the seconds column,
-    // the same convention as loop_iters; mem/first_touch is real seconds.
-    row(en, "mem/bytes", s.mem_bytes_allocated, s.mem_alloc_count);
-    row(en, "mem/arena_hit", s.mem_arena_hit_bytes, s.mem_arena_hit_count);
-    row(en, "mem/first_touch", s.first_touch_seconds, s.first_touch_count);
-    // fault/* value columns follow the loop_iters convention: fire counts,
-    // blamed rank ids, and adopted widths ride the seconds column.
-    row(en, "fault/injected", s.fault_injected_total, s.fault_injected_count);
-    row(en, "fault/watchdog_fires", s.watchdog_fires_total,
-        s.watchdog_fires_count);
-    row(en, "fault/stuck_rank", s.stuck_rank_sum, s.stuck_rank_count);
-    row(en, "fault/retries", s.fault_retries_total, s.fault_retries_count);
-    row(en, "fault/degraded_width", s.degraded_width_sum,
-        s.degraded_width_count);
-    row(en, "fault/lost_shard", s.lost_shard_sum, s.lost_shard_count);
-    // ckpt/* and msg/crc_fail: flush/resume counts ride the seconds column
-    // (restored rides the resumed step number, msg/crc_fail the blamed rank).
-    row(en, "ckpt/saved", s.ckpt_saved_total, s.ckpt_saved_count);
-    row(en, "ckpt/restored", s.ckpt_restored_step_sum, s.ckpt_restored_count);
-    row(en, "ckpt/crc_fail", s.ckpt_crc_fail_total, s.ckpt_crc_fail_count);
-    row(en, "msg/crc_fail", s.msg_crc_fail_rank_sum, s.msg_crc_fail_count);
-    // steal/* value columns ride the seconds column too: stolen-job and
-    // attempt totals, and summed per-scope deque depth watermarks.
-    row(en, "steal/steals", s.steal_steals_total, s.steal_steals_count);
-    row(en, "steal/attempts", s.steal_attempts_total, s.steal_attempts_count);
-    row(en, "steal/deque_max", s.steal_deque_max_sum, s.steal_deque_max_count);
-    for (const RegionStats& st : s.regions) row(en, st.name, st.seconds, st.count);
+    for (const Counter& c : kCounters)
+      row(std::string(c.path), unit_name(c.unit), s.*c.value, s.*c.count);
+    // Derived from team/loop_iters' per-rank slots, which the flat file
+    // lacks, so schedule tables can read it here.
+    row("team/loop_imbalance", "ratio", s.loop_imbalance(),
+        s.loop_record_count);
+    for (const RegionStats& st : s.regions)
+      row(st.name, unit_name(Unit::Seconds), st.seconds, st.count);
     // One summary row per worker process of a hybrid run; the full per-shard
     // breakdown lives in the JSON emitter.
     for (const ShardSnapshot& sh : en.shards)
-      row(en, "shard/" + std::to_string(sh.rank), sh.seconds, 1);
+      row("shard/" + std::to_string(sh.rank), unit_name(Unit::Seconds),
+          sh.seconds, 1);
   }
   return out;
 }

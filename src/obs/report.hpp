@@ -2,9 +2,10 @@
 
 // Machine-readable emitters for obs snapshots.  One ObsReport collects the
 // snapshots of many benchmark runs (one per table row, typically) and
-// serializes them as JSON ({"runs": [...]}) or CSV (one line per region per
-// run).  Always compiled — with NPB_OBS_DISABLED the snapshots it receives
-// are simply empty.
+// serializes them as JSON ({"schema_version": 2, "runs": [...]}) or CSV (one
+// line per counter and region per run).  Both emitters walk the kCounters
+// table, so every reserved counter appears with its unit.  Always compiled —
+// with NPB_OBS_DISABLED the snapshots it receives are simply empty.
 
 #include <string>
 #include <vector>
@@ -12,6 +13,9 @@
 #include "obs/obs.hpp"
 
 namespace npb::obs {
+
+/// Version of the JSON report layout; bumped on any incompatible change.
+inline constexpr int kSchemaVersion = 2;
 
 class ObsReport {
  public:
@@ -23,16 +27,17 @@ class ObsReport {
                int threads, double seconds, Snapshot snap, int procs = 0,
                std::vector<ShardSnapshot> shards = {});
 
-  /// {"runs":[{benchmark, class, mode, threads, seconds,
-  ///           team:{run_count, run_span_seconds, dispatch_seconds,
-  ///                 barrier_wait_seconds, pipeline_wait_seconds, ...counts},
-  ///           regions:[{name, seconds, count, rank_seconds, rank_count}]}]}
-  /// Hybrid entries also carry "procs" and a "shards" array whose elements
-  /// repeat the team/mem/fault/regions shape per worker process.
+  /// {"schema_version":2,"runs":[{benchmark, class, mode, threads, seconds,
+  ///     counters:{<kCounters path>:COUNTER}, regions:{<name>:COUNTER},
+  ///     loop_imbalance}]}, where COUNTER is {unit, value, count,
+  ///     rank_value, rank_count} and the rank arrays are slots (slot 0 the
+  ///     master, slot r+1 rank r).  Hybrid entries also carry "procs" and a
+  ///     "shards" array with one {rank, seconds, counters, regions,
+  ///     loop_imbalance} per worker process.  Keys are sorted.
   std::string json() const;
 
-  /// Header + one row per (run, region); team counters appear as regions
-  /// named team/* so the flat file is self-contained.
+  /// Header + one row per (run, counter or region), each with its unit, so
+  /// the flat file is self-contained.
   std::string csv() const;
 
   /// Writes json() — or csv() when `path` ends in ".csv" — to `path`.

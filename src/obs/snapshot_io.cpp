@@ -8,10 +8,6 @@
 namespace npb::obs {
 namespace {
 
-// Caps a hostile/corrupt length before it drives a resize.  Real snapshots
-// are tiny (kMaxRegions regions, kMaxRanks+1 slots, <64-char names).
-constexpr std::uint64_t kMaxLen = 1u << 20;
-
 void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
   unsigned char b[sizeof v];
   std::memcpy(b, &v, sizeof v);
@@ -46,151 +42,63 @@ std::uint64_t get_len(const std::vector<unsigned char>& bytes, std::size_t& at) 
   return n;
 }
 
+/// One counter or region body: value, count, then its two slot vectors.
+void put_stat(std::vector<unsigned char>& out, double value,
+              std::uint64_t count, const std::vector<double>& rank_value,
+              const std::vector<std::uint64_t>& rank_count) {
+  put_f64(out, value);
+  put_u64(out, count);
+  put_u64(out, rank_value.size());
+  for (const double v : rank_value) put_f64(out, v);
+  put_u64(out, rank_count.size());
+  for (const std::uint64_t v : rank_count) put_u64(out, v);
+}
+
+void get_stat(const std::vector<unsigned char>& bytes, std::size_t& at,
+              double& value, std::uint64_t& count,
+              std::vector<double>& rank_value,
+              std::vector<std::uint64_t>& rank_count) {
+  value = get_f64(bytes, at);
+  count = get_u64(bytes, at);
+  rank_value.resize(get_len(bytes, at));
+  for (double& v : rank_value) v = get_f64(bytes, at);
+  rank_count.resize(get_len(bytes, at));
+  for (std::uint64_t& v : rank_count) v = get_u64(bytes, at);
+}
+
 }  // namespace
 
 void serialize_snapshot(const Snapshot& snap, std::vector<unsigned char>& out) {
-  put_f64(out, snap.run_span_seconds);
-  put_u64(out, snap.run_count);
-  put_f64(out, snap.dispatch_seconds);
-  put_u64(out, snap.dispatch_count);
-  put_f64(out, snap.barrier_wait_seconds);
-  put_u64(out, snap.barrier_wait_count);
-  put_f64(out, snap.pipeline_wait_seconds);
-  put_u64(out, snap.pipeline_wait_count);
-  put_f64(out, snap.loop_iters_total);
-  put_u64(out, snap.loop_record_count);
-  put_u64(out, snap.loop_rank_iters.size());
-  for (const double v : snap.loop_rank_iters) put_f64(out, v);
-  put_u64(out, snap.loop_rank_count.size());
-  for (const std::uint64_t v : snap.loop_rank_count) put_u64(out, v);
-  put_f64(out, snap.mem_bytes_allocated);
-  put_u64(out, snap.mem_alloc_count);
-  put_f64(out, snap.mem_arena_hit_bytes);
-  put_u64(out, snap.mem_arena_hit_count);
-  put_f64(out, snap.first_touch_seconds);
-  put_u64(out, snap.first_touch_count);
-  put_f64(out, snap.dispatches_total);
-  put_u64(out, snap.dispatches_count);
-  put_f64(out, snap.region_span_seconds);
-  put_u64(out, snap.region_count);
-  put_f64(out, snap.fault_injected_total);
-  put_u64(out, snap.fault_injected_count);
-  put_f64(out, snap.watchdog_fires_total);
-  put_u64(out, snap.watchdog_fires_count);
-  put_f64(out, snap.stuck_rank_sum);
-  put_u64(out, snap.stuck_rank_count);
-  put_f64(out, snap.fault_retries_total);
-  put_u64(out, snap.fault_retries_count);
-  put_f64(out, snap.degraded_width_sum);
-  put_u64(out, snap.degraded_width_count);
-  put_f64(out, snap.lost_shard_sum);
-  put_u64(out, snap.lost_shard_count);
-  put_f64(out, snap.ckpt_saved_total);
-  put_u64(out, snap.ckpt_saved_count);
-  put_f64(out, snap.ckpt_restored_step_sum);
-  put_u64(out, snap.ckpt_restored_count);
-  put_f64(out, snap.ckpt_crc_fail_total);
-  put_u64(out, snap.ckpt_crc_fail_count);
-  put_f64(out, snap.msg_crc_fail_rank_sum);
-  put_u64(out, snap.msg_crc_fail_count);
-  put_f64(out, snap.steal_steals_total);
-  put_u64(out, snap.steal_steals_count);
-  put_u64(out, snap.steal_rank_steals.size());
-  for (const double v : snap.steal_rank_steals) put_f64(out, v);
-  put_f64(out, snap.steal_attempts_total);
-  put_u64(out, snap.steal_attempts_count);
-  put_u64(out, snap.steal_rank_attempts.size());
-  for (const double v : snap.steal_rank_attempts) put_f64(out, v);
-  put_f64(out, snap.steal_deque_max_sum);
-  put_u64(out, snap.steal_deque_max_count);
-  put_u64(out, snap.steal_rank_deque_max.size());
-  for (const double v : snap.steal_rank_deque_max) put_f64(out, v);
+  for (int id = 0; id < kReservedRegions; ++id) {
+    const Counter& c = kCounters[id];
+    const RankSlots& slots = snap.slots(id);
+    put_stat(out, snap.*c.value, snap.*c.count, slots.value, slots.count);
+  }
   put_u64(out, snap.regions.size());
   for (const RegionStats& st : snap.regions) {
     put_u64(out, st.name.size());
     out.insert(out.end(), st.name.begin(), st.name.end());
-    put_f64(out, st.seconds);
-    put_u64(out, st.count);
-    put_u64(out, st.rank_seconds.size());
-    for (const double v : st.rank_seconds) put_f64(out, v);
-    put_u64(out, st.rank_count.size());
-    for (const std::uint64_t v : st.rank_count) put_u64(out, v);
+    put_stat(out, st.seconds, st.count, st.rank_seconds, st.rank_count);
   }
 }
 
 Snapshot deserialize_snapshot(const std::vector<unsigned char>& bytes,
                               std::size_t& at) {
   Snapshot snap;
-  snap.run_span_seconds = get_f64(bytes, at);
-  snap.run_count = get_u64(bytes, at);
-  snap.dispatch_seconds = get_f64(bytes, at);
-  snap.dispatch_count = get_u64(bytes, at);
-  snap.barrier_wait_seconds = get_f64(bytes, at);
-  snap.barrier_wait_count = get_u64(bytes, at);
-  snap.pipeline_wait_seconds = get_f64(bytes, at);
-  snap.pipeline_wait_count = get_u64(bytes, at);
-  snap.loop_iters_total = get_f64(bytes, at);
-  snap.loop_record_count = get_u64(bytes, at);
-  snap.loop_rank_iters.resize(get_len(bytes, at));
-  for (double& v : snap.loop_rank_iters) v = get_f64(bytes, at);
-  snap.loop_rank_count.resize(get_len(bytes, at));
-  for (std::uint64_t& v : snap.loop_rank_count) v = get_u64(bytes, at);
-  snap.mem_bytes_allocated = get_f64(bytes, at);
-  snap.mem_alloc_count = get_u64(bytes, at);
-  snap.mem_arena_hit_bytes = get_f64(bytes, at);
-  snap.mem_arena_hit_count = get_u64(bytes, at);
-  snap.first_touch_seconds = get_f64(bytes, at);
-  snap.first_touch_count = get_u64(bytes, at);
-  snap.dispatches_total = get_f64(bytes, at);
-  snap.dispatches_count = get_u64(bytes, at);
-  snap.region_span_seconds = get_f64(bytes, at);
-  snap.region_count = get_u64(bytes, at);
-  snap.fault_injected_total = get_f64(bytes, at);
-  snap.fault_injected_count = get_u64(bytes, at);
-  snap.watchdog_fires_total = get_f64(bytes, at);
-  snap.watchdog_fires_count = get_u64(bytes, at);
-  snap.stuck_rank_sum = get_f64(bytes, at);
-  snap.stuck_rank_count = get_u64(bytes, at);
-  snap.fault_retries_total = get_f64(bytes, at);
-  snap.fault_retries_count = get_u64(bytes, at);
-  snap.degraded_width_sum = get_f64(bytes, at);
-  snap.degraded_width_count = get_u64(bytes, at);
-  snap.lost_shard_sum = get_f64(bytes, at);
-  snap.lost_shard_count = get_u64(bytes, at);
-  snap.ckpt_saved_total = get_f64(bytes, at);
-  snap.ckpt_saved_count = get_u64(bytes, at);
-  snap.ckpt_restored_step_sum = get_f64(bytes, at);
-  snap.ckpt_restored_count = get_u64(bytes, at);
-  snap.ckpt_crc_fail_total = get_f64(bytes, at);
-  snap.ckpt_crc_fail_count = get_u64(bytes, at);
-  snap.msg_crc_fail_rank_sum = get_f64(bytes, at);
-  snap.msg_crc_fail_count = get_u64(bytes, at);
-  snap.steal_steals_total = get_f64(bytes, at);
-  snap.steal_steals_count = get_u64(bytes, at);
-  snap.steal_rank_steals.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_steals) v = get_f64(bytes, at);
-  snap.steal_attempts_total = get_f64(bytes, at);
-  snap.steal_attempts_count = get_u64(bytes, at);
-  snap.steal_rank_attempts.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_attempts) v = get_f64(bytes, at);
-  snap.steal_deque_max_sum = get_f64(bytes, at);
-  snap.steal_deque_max_count = get_u64(bytes, at);
-  snap.steal_rank_deque_max.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_deque_max) v = get_f64(bytes, at);
-  const std::uint64_t nregions = get_len(bytes, at);
-  snap.regions.resize(nregions);
+  snap.rank_slots.resize(kReservedRegions);
+  for (int id = 0; id < kReservedRegions; ++id) {
+    const Counter& c = kCounters[id];
+    RankSlots& slots = snap.rank_slots[static_cast<std::size_t>(id)];
+    get_stat(bytes, at, snap.*c.value, snap.*c.count, slots.value, slots.count);
+  }
+  snap.regions.resize(get_len(bytes, at));
   for (RegionStats& st : snap.regions) {
     const std::uint64_t namelen = get_len(bytes, at);
     if (bytes.size() - at < namelen)
       throw std::runtime_error("snapshot_io: truncated buffer");
     st.name.assign(reinterpret_cast<const char*>(bytes.data() + at), namelen);
     at += namelen;
-    st.seconds = get_f64(bytes, at);
-    st.count = get_u64(bytes, at);
-    st.rank_seconds.resize(get_len(bytes, at));
-    for (double& v : st.rank_seconds) v = get_f64(bytes, at);
-    st.rank_count.resize(get_len(bytes, at));
-    for (std::uint64_t& v : st.rank_count) v = get_u64(bytes, at);
+    get_stat(bytes, at, st.seconds, st.count, st.rank_seconds, st.rank_count);
   }
   return snap;
 }

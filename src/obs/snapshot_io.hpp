@@ -4,16 +4,24 @@
 // plane: a forked worker snapshots its in-process registry and ships the
 // bytes up the result pipe; the parent deserializes into a ShardSnapshot.
 // Writer and reader are always the same binary (parent and its fork twin),
-// so the format is versionless: fixed-order scalars, then the user regions.
+// so the format is versionless: each kCounters row in table order (value,
+// count, then its per-rank slot vectors, each length-prefixed), then the
+// user regions in the same shape behind their names.
 // Compiles identically under NPB_OBS_DISABLED — Snapshot is always defined,
 // a disabled build just ships all-zero snapshots.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "obs/obs.hpp"
 
 namespace npb::obs {
+
+/// Caps every length field the reader accepts, so a hostile or corrupt
+/// length cannot drive a huge resize.  Real snapshots are tiny (kMaxRegions
+/// regions, kMaxRanks+1 slots, short names).
+inline constexpr std::uint64_t kMaxLen = 1u << 20;
 
 /// Appends `snap` to `out`.
 void serialize_snapshot(const Snapshot& snap, std::vector<unsigned char>& out);

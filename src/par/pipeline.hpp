@@ -47,8 +47,9 @@ class PipelineSync {
     if (obs::kActive && obs::ObsRegistry::instance().enabled()) {
       const double t0 = wtime();
       spin(cell, step);
-      obs::ObsRegistry::instance().record(obs::kRegionPipelineWait,
-                                          obs::thread_rank(), wtime() - t0);
+      obs::ObsRegistry::instance().record(
+          obs::counter_id("team/pipeline_wait"), obs::thread_rank(),
+          wtime() - t0);
     } else {
       spin(cell, step);
     }

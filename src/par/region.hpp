@@ -204,18 +204,16 @@ class ParallelRegion {
   void flush_steal_stats(task::Pool& pool, int rank) {
     task::StealStats& st = pool.stats(rank);
     task::StealDeque& dq = pool.deque(rank);
-    if (obs::kActive && obs::ObsRegistry::instance().enabled()) {
-      auto& reg = obs::ObsRegistry::instance();
-      if (st.steals > 0)
-        reg.record(obs::kRegionStealSteals, rank,
-                   static_cast<double>(st.steals));
-      if (st.attempts > 0)
-        reg.record(obs::kRegionStealAttempts, rank,
-                   static_cast<double>(st.attempts));
-      if (dq.max_depth() > 0)
-        reg.record(obs::kRegionStealDequeMax, rank,
-                   static_cast<double>(dq.max_depth()));
-    }
+    auto& reg = obs::ObsRegistry::instance();
+    if (st.steals > 0)
+      reg.record(obs::counter_id("steal/steals"), rank,
+                 static_cast<double>(st.steals));
+    if (st.attempts > 0)
+      reg.record(obs::counter_id("steal/attempts"), rank,
+                 static_cast<double>(st.attempts));
+    if (dq.max_depth() > 0)
+      reg.record(obs::counter_id("steal/deque_max"), rank,
+                 static_cast<double>(dq.max_depth()));
     st = task::StealStats{};
     dq.reset_max_depth();
   }
@@ -245,8 +243,8 @@ void spmd(WorkerTeam& team, F&& fn) {
   const double t0 = obs_on ? wtime() : 0.0;
   team.run([&](int rank) { fn(region, rank); });
   if (obs_on)
-    obs::ObsRegistry::instance().record(obs::kRegionRegionSpan, -1,
-                                        wtime() - t0);
+    obs::ObsRegistry::instance().record(obs::counter_id("team/region_span"),
+                                        -1, wtime() - t0);
 }
 
 }  // namespace npb

@@ -186,9 +186,8 @@ namespace detail {
 /// team/loop_iters region so reports can show the per-rank distribution and
 /// its imbalance.
 inline void record_loop_iters(int rank, long iters) {
-  if (obs::kActive && obs::ObsRegistry::instance().enabled())
-    obs::ObsRegistry::instance().record(obs::kRegionLoopIters, rank,
-                                        static_cast<double>(iters));
+  obs::ObsRegistry::instance().record(obs::counter_id("team/loop_iters"), rank,
+                                      static_cast<double>(iters));
 }
 }  // namespace detail
 

@@ -100,10 +100,10 @@ void WorkerTeam::dispatch(JobFn invoke, void* ctx) {
   }
   if (obs_on) {
     auto& reg = obs::ObsRegistry::instance();
-    reg.record(obs::kRegionRunSpan, -1, wtime() - t0);
-    // team/dispatches rides the seconds column: 1.0 per run(), so the fused
-    // ablation can count dispatches per time step straight off the snapshot.
-    reg.record(obs::kRegionDispatches, -1, 1.0);
+    reg.record(obs::counter_id("team/run_span"), -1, wtime() - t0);
+    // 1 per run(), so the fused ablation can count dispatches per time step
+    // straight off the snapshot.
+    reg.record(obs::counter_id("team/dispatches"), -1, 1.0);
   }
   if (err) {
     // A worker threw: the in-region barrier is poisoned (abort()) so its
@@ -149,8 +149,8 @@ void WorkerTeam::worker_main(int rank) {
     const threadctx::Slots prev_slots = threadctx::exchange(slots);
     if (obs::kActive && issued > 0.0 &&
         obs::ObsRegistry::instance().enabled())
-      obs::ObsRegistry::instance().record(obs::kRegionDispatch, rank,
-                                          wtime() - issued);
+      obs::ObsRegistry::instance().record(obs::counter_id("team/dispatch"),
+                                          rank, wtime() - issued);
     std::exception_ptr err;
     try {
       // The Region injection site: every benchmark body crosses it once per
@@ -211,7 +211,7 @@ void WorkerTeam::watchdog_main() {
     // costs one spurious retry of a completed step — checksum-preserving,
     // since the retry replays from the checkpoint.
     if (!stuck_longer_than(timeout)) continue;
-    const bool obs_on = obs::kActive && obs::ObsRegistry::instance().enabled();
+    auto& reg = obs::ObsRegistry::instance();
     for (int r = 0; r < n_; ++r) {
       if (barrier_entry_[static_cast<std::size_t>(r)].v.load(
               std::memory_order_acquire) > 0.0)
@@ -220,13 +220,9 @@ void WorkerTeam::watchdog_main() {
       // blame it in the injector of the job running here (refreshed at each
       // dispatch) so degradation shrinks the right tenant's team.
       wd_injector_.load(std::memory_order_acquire)->note_failed(r);
-      if (obs_on)
-        obs::ObsRegistry::instance().record(obs::kRegionFaultStuckRank, r,
-                                            static_cast<double>(r));
+      reg.record(obs::counter_id("fault/stuck_rank"), r, 1.0);
     }
-    if (obs_on)
-      obs::ObsRegistry::instance().record(obs::kRegionFaultWatchdogFires, -1,
-                                          1.0);
+    reg.record(obs::counter_id("fault/watchdog_fires"), -1, 1.0);
     barrier_->abort();
   }
 }

@@ -168,7 +168,7 @@ class WorkerTeam {
     if (obs::kActive && obs::ObsRegistry::instance().enabled()) {
       const double t0 = wtime();
       ok = barrier_->arrive_and_wait();
-      obs::ObsRegistry::instance().record(obs::kRegionBarrierWait,
+      obs::ObsRegistry::instance().record(obs::counter_id("team/barrier_wait"),
                                           obs::thread_rank(), wtime() - t0);
     } else {
       ok = barrier_->arrive_and_wait();

@@ -22,6 +22,7 @@
 #include "mem/buffer.hpp"
 #include "mem/mem.hpp"
 #include "npb/registry.hpp"
+#include "obs/obs.hpp"
 #include "par/team.hpp"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -209,18 +210,22 @@ TEST(Arena, ScopedArenaRoutesBufferStorageThroughThePool) {
   EXPECT_EQ(arena.hits(), 1u);
 }
 
+#ifndef NPB_OBS_DISABLED
 TEST(Arena, StatsCountFreshAndRecycledBytes) {
-  const MemStats before = stats();
+  auto& reg = obs::ObsRegistry::instance();
+  const obs::Snapshot before = reg.snapshot();
   Arena arena;
   const ScopedArena scope(&arena);
   { AlignedBuffer<double> buf(8192, 0.0); }
   { AlignedBuffer<double> buf(8192, 0.0); }  // recycled
-  const MemStats after = stats();
-  EXPECT_EQ(after.allocations, before.allocations + 1);
-  EXPECT_EQ(after.bytes_allocated, before.bytes_allocated + 8192 * sizeof(double));
-  EXPECT_EQ(after.arena_hits, before.arena_hits + 1);
-  EXPECT_EQ(after.arena_hit_bytes, before.arena_hit_bytes + 8192 * sizeof(double));
+  const obs::Snapshot after = reg.snapshot();
+  constexpr double kBytes = 8192 * sizeof(double);
+  EXPECT_EQ(after.mem_alloc_count, before.mem_alloc_count + 1);
+  EXPECT_EQ(after.mem_bytes_allocated, before.mem_bytes_allocated + kBytes);
+  EXPECT_EQ(after.mem_arena_hit_count, before.mem_arena_hit_count + 1);
+  EXPECT_EQ(after.mem_arena_hit_bytes, before.mem_arena_hit_bytes + kBytes);
 }
+#endif
 
 // -------------------------------------------------- first-touch identity --
 
@@ -295,16 +300,18 @@ TEST(FirstTouch, ChecksumsBitIdenticalAcrossPlacementAndAlignment) {
   }
 }
 
+#ifndef NPB_OBS_DISABLED
 TEST(FirstTouch, TeamFillsAreRecordedInStats) {
   MemOptions opt;
   opt.placement = Placement::FirstTouch;
   const ScopedMemConfig scope(opt);
   WorkerTeam team(2);
   const ScopedTeamPlacement placement(&team, Schedule{});
-  const MemStats before = stats();
+  auto& reg = obs::ObsRegistry::instance();
+  const obs::Snapshot before = reg.snapshot();
   { AlignedBuffer<double> buf(10000, 0.0); }
-  const MemStats after = stats();
-  EXPECT_EQ(after.first_touch_fills, before.first_touch_fills + 1);
+  const obs::Snapshot after = reg.snapshot();
+  EXPECT_EQ(after.first_touch_count, before.first_touch_count + 1);
   EXPECT_GE(after.first_touch_seconds, before.first_touch_seconds);
 }
 
@@ -312,11 +319,13 @@ TEST(FirstTouch, SerialPlacementNeverTeamFills) {
   const ScopedMemConfig scope(MemOptions{});  // Placement::Serial
   WorkerTeam team(2);
   const ScopedTeamPlacement placement(&team, Schedule{});
-  const MemStats before = stats();
+  auto& reg = obs::ObsRegistry::instance();
+  const obs::Snapshot before = reg.snapshot();
   { AlignedBuffer<double> buf(10000, 0.0); }
-  const MemStats after = stats();
-  EXPECT_EQ(after.first_touch_fills, before.first_touch_fills);
+  const obs::Snapshot after = reg.snapshot();
+  EXPECT_EQ(after.first_touch_count, before.first_touch_count);
 }
+#endif
 
 // --------------------------------------------------------- checked arrays --
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "common/verify.hpp"
 #include "cg/cg.hpp"
@@ -200,7 +202,9 @@ TEST(MsgChaos, LostShardIsBlamedDegradedAndStillVerifies) {
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_EQ(r.procs, 1);
   EXPECT_EQ(r.obs.lost_shard_count, 1u);
-  EXPECT_EQ(r.obs.lost_shard_sum, 1.0);  // rank id rides the sum
+  // Slot r+1 is rank r: the blame lands in rank 1's slot and nowhere else.
+  EXPECT_EQ(r.obs.slots(obs::counter_id("fault/lost_shard")).count,
+            (std::vector<std::uint64_t>{0, 0, 1}));
   EXPECT_EQ(r.obs.degraded_width_count, 1u);
 }
 
@@ -216,14 +220,17 @@ TEST(MsgChaos, CorruptFrameIsBlamedShrunkPastAndStillVerifies) {
   const RunResult r =
       run_instrumented(msg::find_msg_benchmark("IS"), cfg);
   // Rank 1's first in-step send rotted on the wire; the receiver's frame CRC
-  // must detect it (msg/crc_fail, sender rank riding the value), the run
+  // must detect it (msg/crc_fail, in the sender rank's slot), the run
   // must shrink past the untrustworthy sender exactly like a crashed shard,
   // and the retried width-1 run must still verify — the corruption may cost
   // a retry, never a silently wrong result.
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_EQ(r.procs, 1);
   EXPECT_GE(r.obs.msg_crc_fail_count, 1u);
-  EXPECT_EQ(r.obs.msg_crc_fail_rank_sum, 1.0);  // blamed sender rides the sum
+  const obs::RankSlots& blamed = r.obs.slots(obs::counter_id("msg/crc_fail"));
+  ASSERT_EQ(blamed.count.size(), 3u) << "only rank 1 (slot 2) is blamed";
+  EXPECT_EQ(blamed.count[0] + blamed.count[1], 0u);
+  EXPECT_GE(blamed.count[2], 1u);
   EXPECT_EQ(r.obs.degraded_width_count, 1u);
 }
 

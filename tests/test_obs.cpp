@@ -1,6 +1,8 @@
 // Tests for the observability layer (src/obs): interning, per-rank
-// accumulation, ScopedTimer semantics, team counters, report emitters, and
-// the no-allocation guarantee on the hot path.
+// accumulation, ScopedTimer semantics, team counters, the counter table's
+// reach into the report emitters and the shard wire format (with its
+// hostile-input battery), the pinned report schema, and the no-allocation
+// guarantee on the hot path.
 //
 // The registry is a process-wide singleton, so every test starts with
 // reset() and tests only inspect regions they themselves interned (names are
@@ -9,14 +11,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/json.hpp"
 #include "common/wtime.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
+#include "obs/snapshot_io.hpp"
 #include "par/team.hpp"
 
 // ---- global allocation counter (this TU only) ------------------------------
@@ -36,106 +47,6 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace npb {
 namespace {
-
-// ---- minimal JSON well-formedness checker ----------------------------------
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : s_(s) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return at_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (at_ >= s_.size()) return false;
-    switch (s_[at_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++at_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++at_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++at_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++at_; continue; }
-      if (peek() == '}') { ++at_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++at_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++at_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++at_; continue; }
-      if (peek() == ']') { ++at_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++at_;
-    while (at_ < s_.size() && s_[at_] != '"') {
-      if (s_[at_] == '\\') {
-        if (at_ + 1 >= s_.size()) return false;
-        ++at_;
-      }
-      ++at_;
-    }
-    if (at_ >= s_.size()) return false;
-    ++at_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = at_;
-    if (peek() == '-' || peek() == '+') ++at_;
-    bool any = false;
-    while (at_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[at_])) != 0 ||
-            s_[at_] == '.' || s_[at_] == 'e' || s_[at_] == 'E' ||
-            s_[at_] == '-' || s_[at_] == '+')) {
-      ++at_;
-      any = true;
-    }
-    return any && at_ > start;
-  }
-  bool literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p, ++at_)
-      if (at_ >= s_.size() || s_[at_] != *p) return false;
-    return true;
-  }
-  char peek() const { return at_ < s_.size() ? s_[at_] : '\0'; }
-  void skip_ws() {
-    while (at_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[at_])) != 0)
-      ++at_;
-  }
-
-  const std::string& s_;
-  std::size_t at_ = 0;
-};
 
 // ---- registry basics -------------------------------------------------------
 
@@ -336,29 +247,54 @@ obs::Snapshot sample_snapshot() {
   const obs::RegionId id = obs::region("t_report/phase \"x\"\\1");
   reg.record(id, -1, 0.125);
   reg.record(id, 1, 0.5);
-  reg.record(obs::kRegionRunSpan, -1, 1.0);
-  reg.record(obs::kRegionBarrierWait, 0, 0.25);
+  reg.record(obs::counter_id("team/run_span"), -1, 1.0);
+  reg.record(obs::counter_id("team/barrier_wait"), 0, 0.25);
   return reg.snapshot();
+}
+
+/// Parses a report; a parse failure is a test failure and yields null, so
+/// callers assert is_object() before reading.
+json::Value parse_or_fail(const std::string& text) {
+  std::string err;
+  std::optional<json::Value> doc = json::parse(text, &err);
+  EXPECT_TRUE(doc.has_value()) << err << "\n" << text;
+  return std::move(doc).value_or(json::Value());
+}
+
+/// The first run's object of a parsed report.
+const json::Value& first_run(const json::Value& doc) {
+  return doc.find("runs")->items().at(0);
 }
 
 TEST(ObsReport, JsonIsWellFormedIncludingEscapes) {
   obs::ObsReport rep;
   rep.add_run("BT", "S", "java", 2, 1.5, sample_snapshot());
   rep.add_run("weird\"name\\", "W", "native", 0, 0.0, obs::Snapshot{});
-  const std::string j = rep.json();
-  JsonChecker check(j);
-  EXPECT_TRUE(check.valid()) << j;
-  EXPECT_NE(j.find("\"runs\""), std::string::npos);
-  EXPECT_NE(j.find("\"barrier_wait_seconds\""), std::string::npos);
-  EXPECT_NE(j.find("\"rank_seconds\""), std::string::npos);
+  const json::Value doc = parse_or_fail(rep.json());
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.find("schema_version")->as_int(), obs::kSchemaVersion);
+  ASSERT_EQ(doc.find("runs")->items().size(), 2u);
+  const json::Value& run = first_run(doc);
+  const json::Value* barrier =
+      run.find("counters")->find("team/barrier_wait");
+  ASSERT_NE(barrier, nullptr);
+  EXPECT_EQ(barrier->find("unit")->as_string(), "seconds");
+  EXPECT_DOUBLE_EQ(barrier->find("value")->as_double(), 0.25);
+  const json::Value* phase =
+      run.find("regions")->find("t_report/phase \"x\"\\1");
+  ASSERT_NE(phase, nullptr) << "region names round-trip through escaping";
+  EXPECT_EQ(phase->find("rank_value")->items().size(), 3u);
+  EXPECT_EQ(doc.find("runs")->items()[1].find("benchmark")->as_string(),
+            "weird\"name\\");
 }
 
 TEST(ObsReport, EmptyReportIsValidJson) {
   obs::ObsReport rep;
   EXPECT_TRUE(rep.empty());
-  const std::string j = rep.json();
-  JsonChecker check(j);
-  EXPECT_TRUE(check.valid()) << j;
+  const json::Value doc = parse_or_fail(rep.json());
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.find("schema_version")->as_int(), obs::kSchemaVersion);
+  EXPECT_TRUE(doc.find("runs")->items().empty());
 }
 
 TEST(ObsReport, CsvHasHeaderAndOneRowPerRegionPlusTeamCounters) {
@@ -367,30 +303,212 @@ TEST(ObsReport, CsvHasHeaderAndOneRowPerRegionPlusTeamCounters) {
   const std::string csv = rep.csv();
   std::size_t lines = 0;
   for (char c : csv) lines += c == '\n' ? 1 : 0;
-  // header + 8 team rows (run_span, dispatch, barrier_wait, pipeline_wait,
-  // loop_iters, loop_imbalance, dispatches, region_span) + 3 mem rows
-  // (bytes, arena_hit, first_touch) + 6 fault rows (injected, watchdog_fires,
-  // stuck_rank, retries, degraded_width, lost_shard) + 4 integrity rows
-  // (ckpt/saved, ckpt/restored, ckpt/crc_fail, msg/crc_fail) + 3 steal rows
-  // (steals, attempts, deque_max) + 1 user region
-  EXPECT_EQ(lines, 26u);
-  EXPECT_EQ(csv.rfind("benchmark,class,mode,threads,run_seconds,region,seconds,count\n", 0), 0u);
-  EXPECT_NE(csv.find("team/run_span"), std::string::npos);
-  EXPECT_NE(csv.find("team/barrier_wait"), std::string::npos);
-  EXPECT_NE(csv.find("team/dispatches"), std::string::npos);
-  EXPECT_NE(csv.find("team/region_span"), std::string::npos);
-  EXPECT_NE(csv.find("team/loop_iters"), std::string::npos);
-  EXPECT_NE(csv.find("steal/steals"), std::string::npos);
-  EXPECT_NE(csv.find("steal/attempts"), std::string::npos);
-  EXPECT_NE(csv.find("steal/deque_max"), std::string::npos);
-  EXPECT_NE(csv.find("team/loop_imbalance"), std::string::npos);
-  EXPECT_NE(csv.find("mem/bytes"), std::string::npos);
-  EXPECT_NE(csv.find("mem/arena_hit"), std::string::npos);
-  EXPECT_NE(csv.find("mem/first_touch"), std::string::npos);
-  EXPECT_NE(csv.find("ckpt/saved"), std::string::npos);
-  EXPECT_NE(csv.find("ckpt/restored"), std::string::npos);
-  EXPECT_NE(csv.find("ckpt/crc_fail"), std::string::npos);
-  EXPECT_NE(csv.find("msg/crc_fail"), std::string::npos);
+  // header + one row per counter + the derived loop_imbalance row + the one
+  // user region
+  EXPECT_EQ(lines, 1u + obs::kReservedRegions + 1u + 1u);
+  EXPECT_EQ(csv.rfind("benchmark,class,mode,threads,run_seconds,region,unit,"
+                      "value,count\n",
+                      0),
+            0u);
+  EXPECT_NE(csv.find(",team/loop_imbalance,ratio,"), std::string::npos);
+  EXPECT_NE(csv.find(",t_report/phase \"x\"\\1,seconds,0.625,2\n"),
+            std::string::npos);
+}
+
+// ---- the counter table ----------------------------------------------------
+
+/// A fixed snapshot in which every table row, each of its per-rank slots
+/// and one user region hold distinct values.  Values pass 10^9 so a report
+/// that rounds to nine significant digits would lose them.
+obs::Snapshot synthetic_snapshot() {
+  obs::Snapshot s;
+  s.rank_slots.resize(obs::kReservedRegions);
+  for (int id = 0; id < obs::kReservedRegions; ++id) {
+    const obs::Counter& c = obs::kCounters[id];
+    obs::RankSlots& slots = s.rank_slots[static_cast<std::size_t>(id)];
+    for (int k = 0; k <= id % 3; ++k) {
+      slots.value.push_back((id + 1) * 1e9 + k + 0.25);
+      slots.count.push_back(static_cast<std::uint64_t>((id + 1) * 100 + k));
+      s.*c.value += slots.value.back();
+      s.*c.count += slots.count.back();
+    }
+  }
+  s.regions.push_back(obs::RegionStats{"BT/x_solve \"q\"", 0.75, 3,
+                                       {0.5, 0.0, 0.25}, {1, 0, 2}});
+  return s;
+}
+
+TEST(ObsCounters, EveryTableRowReachesJsonCsvAndTheWire) {
+  const obs::Snapshot snap = synthetic_snapshot();
+  obs::ObsReport rep;
+  rep.add_run("MG", "S", "native", 2, 0.5, snap);
+  const json::Value doc = parse_or_fail(rep.json());
+  ASSERT_TRUE(doc.is_object());
+  const json::Value& counters = *first_run(doc).find("counters");
+  EXPECT_EQ(counters.entries().size(),
+            static_cast<std::size_t>(obs::kReservedRegions));
+  const std::string csv = rep.csv();
+  std::vector<unsigned char> bytes;
+  obs::serialize_snapshot(snap, bytes);
+  std::size_t at = 0;
+  const obs::Snapshot back = obs::deserialize_snapshot(bytes, at);
+  EXPECT_EQ(at, bytes.size());
+
+  for (int id = 0; id < obs::kReservedRegions; ++id) {
+    const obs::Counter& c = obs::kCounters[id];
+    const std::string path(c.path);
+    SCOPED_TRACE(path);
+    EXPECT_EQ(obs::region(c.path), id) << "rows intern in table order";
+    EXPECT_FALSE(obs::unit_name(c.unit).empty());
+
+    const json::Value* j = counters.find(path);
+    ASSERT_NE(j, nullptr);
+    EXPECT_EQ(j->find("unit")->as_string(), obs::unit_name(c.unit));
+    EXPECT_EQ(j->find("value")->as_double(), snap.*c.value);
+    EXPECT_EQ(static_cast<std::uint64_t>(j->find("count")->as_int()),
+              snap.*c.count);
+    const auto& rank_value = j->find("rank_value")->items();
+    ASSERT_EQ(rank_value.size(), snap.slots(id).value.size());
+    for (std::size_t k = 0; k < rank_value.size(); ++k)
+      EXPECT_EQ(rank_value[k].as_double(), snap.slots(id).value[k]);
+
+    const std::string row = "MG,S,native,2,0.5," + path + ',' +
+                            std::string(obs::unit_name(c.unit)) + ',' +
+                            json::number_to_string(snap.*c.value) + ',' +
+                            std::to_string(snap.*c.count) + '\n';
+    EXPECT_NE(csv.find(row), std::string::npos) << row;
+
+    EXPECT_EQ(back.*c.value, snap.*c.value);
+    EXPECT_EQ(back.*c.count, snap.*c.count);
+    EXPECT_EQ(back.slots(id).value, snap.slots(id).value);
+    EXPECT_EQ(back.slots(id).count, snap.slots(id).count);
+  }
+}
+
+TEST(ObsCounters, BlamedRanksAreNamedBySlot) {
+  // Blames on ranks {1, 1} and on ranks {0, 2} add up to the same value and
+  // count; only the per-rank slots tell them apart, so they must reach the
+  // snapshot and the report.
+  auto& reg = obs::ObsRegistry::instance();
+  for (const obs::RegionId id :
+       {obs::counter_id("fault/stuck_rank"),
+        obs::counter_id("fault/lost_shard"), obs::counter_id("msg/crc_fail")}) {
+    const obs::Counter& c = obs::kCounters[id];
+    SCOPED_TRACE(std::string(c.path));
+    reg.reset();
+    reg.record(id, 1, 1.0);
+    reg.record(id, 1, 1.0);
+    const obs::Snapshot twice = reg.snapshot();
+    reg.reset();
+    reg.record(id, 0, 1.0);
+    reg.record(id, 2, 1.0);
+    const obs::Snapshot spread = reg.snapshot();
+    reg.reset();
+
+    EXPECT_EQ(twice.*c.count, spread.*c.count);
+    EXPECT_EQ(twice.*c.value, spread.*c.value);
+    EXPECT_EQ(twice.slots(id).count, (std::vector<std::uint64_t>{0, 0, 2}));
+    EXPECT_EQ(spread.slots(id).count,
+              (std::vector<std::uint64_t>{0, 1, 0, 1}));
+    obs::ObsReport a, b;
+    a.add_run("IS", "S", "msg", 0, 0.0, twice);
+    b.add_run("IS", "S", "msg", 0, 0.0, spread);
+    EXPECT_NE(a.json(), b.json());
+  }
+}
+
+TEST(ObsReport, JsonMatchesTheGoldenSchemaFile) {
+  obs::ObsReport rep;
+  rep.add_run("BT", "S", "java", 2, 1.5, synthetic_snapshot(), 2,
+              {obs::ShardSnapshot{1, 0.75, obs::Snapshot{}}});
+  const std::string got = rep.json();
+  const std::string path =
+      std::string(NPB_TEST_GOLDEN_DIR) + "/obs_report.json";
+  std::ifstream in(path, std::ios::binary);  // missing reads as empty
+  const std::string want{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  if (got != want) {
+    const std::string fresh = ::testing::TempDir() + "obs_report.json";
+    std::ofstream(fresh, std::ios::binary) << got;
+    ADD_FAILURE() << "the report schema changed; if that is intended, bump "
+                     "obs::kSchemaVersion and replace "
+                  << path << " with " << fresh;
+  }
+}
+
+// ---- shard wire format ----------------------------------------------------
+
+obs::Snapshot decode(const std::vector<unsigned char>& bytes) {
+  std::size_t at = 0;
+  return obs::deserialize_snapshot(bytes, at);
+}
+
+TEST(SnapshotWire, RoundTripKeepsEveryRegionAndConsumesExactlyItsBytes) {
+  const obs::Snapshot snap = synthetic_snapshot();
+  std::vector<unsigned char> bytes;
+  obs::serialize_snapshot(snap, bytes);
+  const std::size_t one = bytes.size();
+  obs::serialize_snapshot(obs::Snapshot{}, bytes);  // a second one behind it
+  std::size_t at = 0;
+  const obs::Snapshot back = obs::deserialize_snapshot(bytes, at);
+  EXPECT_EQ(at, one);
+  ASSERT_EQ(back.regions.size(), 1u);
+  const obs::RegionStats& st = back.regions[0];
+  EXPECT_EQ(st.name, snap.regions[0].name);
+  EXPECT_EQ(st.seconds, snap.regions[0].seconds);
+  EXPECT_EQ(st.count, snap.regions[0].count);
+  EXPECT_EQ(st.rank_seconds, snap.regions[0].rank_seconds);
+  EXPECT_EQ(st.rank_count, snap.regions[0].rank_count);
+  const obs::Snapshot empty = obs::deserialize_snapshot(bytes, at);
+  EXPECT_EQ(at, bytes.size());
+  EXPECT_TRUE(empty.regions.empty());
+  EXPECT_EQ(empty.run_count, 0u);
+}
+
+TEST(SnapshotWire, EveryTruncationThrows) {
+  std::vector<unsigned char> bytes;
+  obs::serialize_snapshot(synthetic_snapshot(), bytes);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<unsigned char> cut(
+        bytes.begin(), bytes.begin() + static_cast<long>(len));
+    EXPECT_THROW(decode(cut), std::runtime_error) << "truncated to " << len;
+  }
+}
+
+TEST(SnapshotWire, EveryLengthFieldAboveMaxLenIsRefused) {
+  // With empty slot vectors each table row is value, count and two zero
+  // lengths (32 bytes); then the region count, and per region its name
+  // length, name, value, count and two slot-vector lengths.
+  obs::Snapshot snap;
+  const std::string name = "r/x";
+  snap.regions.push_back(obs::RegionStats{name, 1.0, 1, {}, {}});
+  std::vector<unsigned char> bytes;
+  obs::serialize_snapshot(snap, bytes);
+  const std::size_t rows = 32u * obs::kReservedRegions;
+  ASSERT_EQ(bytes.size(), rows + 8 + 8 + name.size() + 32);
+  std::vector<std::size_t> lengths;
+  for (std::size_t row = 0; row < rows; row += 32) {
+    lengths.push_back(row + 16);
+    lengths.push_back(row + 24);
+  }
+  lengths.push_back(rows);
+  lengths.push_back(rows + 8);
+  lengths.push_back(rows + 16 + name.size() + 16);
+  lengths.push_back(rows + 16 + name.size() + 24);
+  EXPECT_NO_THROW(decode(bytes));
+  for (const std::size_t at : lengths) {
+    auto bad = bytes;
+    const std::uint64_t huge = obs::kMaxLen + 1;
+    std::memcpy(bad.data() + at, &huge, sizeof huge);
+    try {
+      decode(bad);
+      ADD_FAILURE() << "length field at byte " << at << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible length"),
+                std::string::npos)
+          << "byte " << at << ": " << e.what();
+    }
+  }
 }
 
 // ---- scheduled-loop iteration counters -------------------------------------
@@ -399,18 +517,20 @@ TEST(ObsLoopIters, SnapshotSplitsPerRankAndComputesImbalance) {
   auto& reg = obs::ObsRegistry::instance();
   reg.reset();
   // Three workers recorded 100/200/300 iterations; rank 1 did two passes.
-  reg.record(obs::kRegionLoopIters, 0, 100.0);
-  reg.record(obs::kRegionLoopIters, 1, 150.0);
-  reg.record(obs::kRegionLoopIters, 1, 50.0);
-  reg.record(obs::kRegionLoopIters, 2, 300.0);
+  constexpr obs::RegionId id = obs::counter_id("team/loop_iters");
+  reg.record(id, 0, 100.0);
+  reg.record(id, 1, 150.0);
+  reg.record(id, 1, 50.0);
+  reg.record(id, 2, 300.0);
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_DOUBLE_EQ(snap.loop_iters_total, 600.0);
   EXPECT_EQ(snap.loop_record_count, 4u);
-  ASSERT_EQ(snap.loop_rank_iters.size(), 4u);  // slots 0..3, rank r -> slot r+1
-  EXPECT_DOUBLE_EQ(snap.loop_rank_iters[1], 100.0);
-  EXPECT_DOUBLE_EQ(snap.loop_rank_iters[2], 200.0);
-  EXPECT_DOUBLE_EQ(snap.loop_rank_iters[3], 300.0);
-  EXPECT_EQ(snap.loop_rank_count[2], 2u);
+  const obs::RankSlots& slots = snap.slots(id);
+  ASSERT_EQ(slots.value.size(), 4u);  // slots 0..3, rank r -> slot r+1
+  EXPECT_DOUBLE_EQ(slots.value[1], 100.0);
+  EXPECT_DOUBLE_EQ(slots.value[2], 200.0);
+  EXPECT_DOUBLE_EQ(slots.value[3], 300.0);
+  EXPECT_EQ(slots.count[2], 2u);
   // max/mean = 300 / 200
   EXPECT_DOUBLE_EQ(snap.loop_imbalance(), 1.5);
 }
@@ -419,7 +539,9 @@ TEST(ObsLoopIters, ImbalanceEdgeCases) {
   auto& reg = obs::ObsRegistry::instance();
   reg.reset();
   EXPECT_DOUBLE_EQ(reg.snapshot().loop_imbalance(), 0.0) << "nothing recorded";
-  reg.record(obs::kRegionLoopIters, -1, 42.0);  // serial path -> slot 0
+  EXPECT_DOUBLE_EQ(obs::Snapshot{}.loop_imbalance(), 0.0) << "no slots at all";
+  // serial path -> slot 0
+  reg.record(obs::counter_id("team/loop_iters"), -1, 42.0);
   EXPECT_DOUBLE_EQ(reg.snapshot().loop_imbalance(), 1.0)
       << "serial-only records are trivially balanced";
   reg.reset();
@@ -428,17 +550,19 @@ TEST(ObsLoopIters, ImbalanceEdgeCases) {
 TEST(ObsLoopIters, JsonCarriesLoopFields) {
   auto& reg = obs::ObsRegistry::instance();
   reg.reset();
-  reg.record(obs::kRegionLoopIters, 0, 10.0);
-  reg.record(obs::kRegionLoopIters, 1, 30.0);
+  reg.record(obs::counter_id("team/loop_iters"), 0, 10.0);
+  reg.record(obs::counter_id("team/loop_iters"), 1, 30.0);
   obs::ObsReport rep;
   rep.add_run("CG", "S", "native", 2, 1.0, reg.snapshot());
-  const std::string j = rep.json();
-  JsonChecker check(j);
-  EXPECT_TRUE(check.valid()) << j;
-  EXPECT_NE(j.find("\"loop_record_count\":2"), std::string::npos);
-  EXPECT_NE(j.find("\"loop_iters_total\":40"), std::string::npos);
-  EXPECT_NE(j.find("\"loop_rank_iters\""), std::string::npos);
-  EXPECT_NE(j.find("\"loop_imbalance\":1.5"), std::string::npos);
+  const json::Value doc = parse_or_fail(rep.json());
+  ASSERT_TRUE(doc.is_object());
+  const json::Value& run = first_run(doc);
+  const json::Value& loop = *run.find("counters")->find("team/loop_iters");
+  EXPECT_EQ(loop.find("unit")->as_string(), "iterations");
+  EXPECT_EQ(loop.find("count")->as_int(), 2);
+  EXPECT_DOUBLE_EQ(loop.find("value")->as_double(), 40.0);
+  EXPECT_EQ(loop.find("rank_value")->items().size(), 3u);
+  EXPECT_DOUBLE_EQ(run.find("loop_imbalance")->as_double(), 1.5);
 }
 
 }  // namespace

@@ -56,8 +56,8 @@ TEST(ObsDisabled, ApiIsStubbedOut) {
 TEST(ObsDisabled, ScopedTimerIsZeroCost) {
   const long before = g_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 10000; ++i) {
-    obs::ScopedTimer t(obs::kRegionRunSpan);
-    obs::ScopedTimer tr(obs::kRegionDispatch, 2);
+    obs::ScopedTimer t(obs::counter_id("team/run_span"));
+    obs::ScopedTimer tr(obs::counter_id("team/dispatch"), 2);
   }
   const long after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0);

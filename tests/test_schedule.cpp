@@ -302,13 +302,17 @@ TEST(ScheduleObs, LoopItersSumToRangeSizeAndImbalanceIsSane) {
        {Schedule::static_(), Schedule::dynamic(), Schedule::guided()}) {
     reg.reset();
     WorkerTeam team(4);
-    volatile long sink = 0;
-    parallel_for(team, sched, 0, 10007, [&](long i) { sink = sink + i; });
+    std::atomic<long> sink{0};
+    parallel_for(team, sched, 0, 10007, [&](long i) {
+      sink.fetch_add(i, std::memory_order_relaxed);
+    });
     const obs::Snapshot snap = reg.snapshot();
     EXPECT_DOUBLE_EQ(snap.loop_iters_total, 10007.0) << to_string(sched);
+    const obs::RankSlots& slots =
+        snap.slots(obs::counter_id("team/loop_iters"));
     double ranks_sum = 0.0;
-    for (std::size_t s = 1; s < snap.loop_rank_iters.size(); ++s)
-      ranks_sum += snap.loop_rank_iters[s];
+    for (std::size_t s = 1; s < slots.value.size(); ++s)
+      ranks_sum += slots.value[s];
     EXPECT_DOUBLE_EQ(ranks_sum, 10007.0)
         << to_string(sched) << ": worker slots must account for every index";
     EXPECT_GE(snap.loop_imbalance(), 1.0) << to_string(sched);

@@ -316,7 +316,7 @@ TEST(TaskScope, StealCountersLandInTheObsSnapshot) {
   EXPECT_GT(snap.steal_deque_max_count, 0u)
       << "rank 0 pushed jobs, so its depth watermark is nonzero";
   // Slot 0 is the serial path; thief ranks occupy slots rank+1.
-  ASSERT_GE(snap.steal_rank_attempts.size(), 2u);
+  ASSERT_GE(snap.slots(obs::counter_id("steal/attempts")).value.size(), 2u);
 }
 
 // ---- irregular workloads: invariant matrix --------------------------------
