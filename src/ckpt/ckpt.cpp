@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "common/crc32c.hpp"
 #include "obs/obs.hpp"
@@ -60,33 +61,44 @@ struct Reader {
   }
 };
 
+/// Reads the whole file into one buffer sized from fstat.  A file that is
+/// shorter than fstat said by the time it is read comes back short, and
+/// decode() rejects it as truncated.
 std::vector<unsigned char> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0)
     throw CkptError("cannot open checkpoint '" + path +
                     "': " + std::strerror(errno));
-  std::vector<unsigned char> bytes;
-  unsigned char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+  auto fail = [&](const char* what) {
+    const int err = errno;
+    ::close(fd);
+    throw CkptError(std::string(what) + " checkpoint '" + path +
+                    "': " + std::strerror(err));
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) fail("cannot stat");
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
     if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      throw CkptError("error reading checkpoint '" + path +
-                      "': " + std::strerror(err));
+      if (errno == EINTR) continue;
+      fail("error reading");
     }
     if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
+    done += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  bytes.resize(done);
   return bytes;
 }
 
-void write_all(int fd, const std::string& path,
-               const std::vector<unsigned char>& bytes) {
+void write_all(int fd, const std::string& path, const void* data,
+               std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
   std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+  while (done < len) {
+    const ssize_t n = ::write(fd, p + done, len - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw CkptError("error writing checkpoint '" + path +
@@ -94,6 +106,35 @@ void write_all(int fd, const std::string& path,
     }
     done += static_cast<std::size_t>(n);
   }
+}
+
+/// The image ahead of the payload: magic, version, identity, step, span
+/// byte table and the header CRC over all of it.
+std::vector<unsigned char> encode_header(const Meta& meta, long step,
+                                         const std::vector<SpanView>& spans) {
+  std::vector<unsigned char> out(std::begin(kMagic), std::end(kMagic));
+  out.reserve(64 + meta.benchmark.size() + 8 * spans.size());
+  put<std::uint32_t>(out, kFormatVersion);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(meta.benchmark.size()));
+  put_bytes(out, meta.benchmark.data(), meta.benchmark.size());
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(meta.cls));
+  put<std::uint8_t>(out, meta.mode);
+  put<std::uint8_t>(out, meta.runtime);
+  put<std::uint8_t>(out, 0);  // pad
+  put<std::int32_t>(out, meta.threads);
+  put<std::int64_t>(out, static_cast<std::int64_t>(step));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(spans.size()));
+  for (const SpanView& s : spans)
+    put<std::uint64_t>(out, static_cast<std::uint64_t>(s.bytes));
+  put<std::uint32_t>(out, crc::crc32c(out.data(), out.size()));
+  return out;
+}
+
+/// CRC32C over the spans back to back: the trailer after the payload.
+std::uint32_t payload_crc(const std::vector<SpanView>& spans) {
+  std::uint32_t sum = 0;
+  for (const SpanView& s : spans) sum = crc::crc32c(s.data, s.bytes, sum);
+  return sum;
 }
 
 void fsync_dir(const std::string& dir) {
@@ -119,32 +160,12 @@ void clear_interrupt() noexcept {
 
 std::vector<unsigned char> encode(const Meta& meta, long step,
                                   const std::vector<SpanView>& spans) {
-  std::vector<unsigned char> out;
+  std::vector<unsigned char> out = encode_header(meta, step, spans);
   std::size_t payload_bytes = 0;
   for (const SpanView& s : spans) payload_bytes += s.bytes;
-  out.reserve(64 + meta.benchmark.size() + 8 * spans.size() + payload_bytes);
-
-  put_bytes(out, kMagic, sizeof kMagic);
-  put<std::uint32_t>(out, kFormatVersion);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(meta.benchmark.size()));
-  put_bytes(out, meta.benchmark.data(), meta.benchmark.size());
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(meta.cls));
-  put<std::uint8_t>(out, meta.mode);
-  put<std::uint8_t>(out, meta.runtime);
-  put<std::uint8_t>(out, 0);  // pad
-  put<std::int32_t>(out, meta.threads);
-  put<std::int64_t>(out, static_cast<std::int64_t>(step));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(spans.size()));
-  for (const SpanView& s : spans)
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(s.bytes));
-  put<std::uint32_t>(out, crc::crc32c(out.data(), out.size()));
-
-  std::uint32_t payload_crc = 0;
-  for (const SpanView& s : spans) {
-    put_bytes(out, s.data, s.bytes);
-    payload_crc = crc::crc32c(s.data, s.bytes, payload_crc);
-  }
-  put<std::uint32_t>(out, payload_crc);
+  out.reserve(out.size() + payload_bytes + sizeof(std::uint32_t));
+  for (const SpanView& s : spans) put_bytes(out, s.data, s.bytes);
+  put<std::uint32_t>(out, payload_crc(spans));
   return out;
 }
 
@@ -274,17 +295,10 @@ long Session::consume_resume(const std::vector<MutSpanView>& spans) {
 bool Session::flush(long step, const std::vector<SpanView>& spans,
                     bool inject_corrupt) {
   if (!can_save()) return true;
-  std::vector<unsigned char> bytes = encode(meta_, step, spans);
-  if (inject_corrupt) {
-    // The ckpt:corrupt fault: one payload bit flips after the CRCs are
-    // computed — exactly what a medium error between serialize and commit
-    // looks like.  The readback verification below must catch it.
-    std::size_t payload_bytes = 0;
-    for (const SpanView& s : spans) payload_bytes += s.bytes;
-    if (payload_bytes > 0)
-      bytes[bytes.size() - sizeof(std::uint32_t) - payload_bytes +
-            payload_bytes / 2] ^= 0x10;
-  }
+  // The same bytes as encode(), streamed: header, the live spans, then the
+  // payload CRC, with no staged copy of the payload.
+  const std::vector<unsigned char> header = encode_header(meta_, step, spans);
+  const std::uint32_t trailer = payload_crc(spans);
 
   const std::string tmp = save_path_ + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -292,7 +306,28 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
     throw CkptError("cannot create checkpoint temp file '" + tmp +
                     "': " + std::strerror(errno));
   try {
-    write_all(fd, tmp, bytes);
+    write_all(fd, tmp, header.data(), header.size());
+    std::size_t payload_bytes = 0;
+    for (const SpanView& s : spans) {
+      write_all(fd, tmp, s.data, s.bytes);
+      payload_bytes += s.bytes;
+    }
+    write_all(fd, tmp, &trailer, sizeof trailer);
+    if (inject_corrupt && payload_bytes > 0) {
+      // The ckpt:corrupt fault: one payload bit flips in the file after the
+      // CRCs are computed — exactly what a medium error between serialize
+      // and commit looks like.  The live spans are only read.  The
+      // readback verification below must catch it.
+      std::size_t at = payload_bytes / 2;
+      const SpanView* hit = spans.data();
+      while (at >= hit->bytes) at -= (hit++)->bytes;
+      const auto flipped = static_cast<unsigned char>(
+          static_cast<const unsigned char*>(hit->data)[at] ^ 0x10);
+      const auto off = static_cast<off_t>(header.size() + payload_bytes / 2);
+      if (::pwrite(fd, &flipped, 1, off) != 1)
+        throw CkptError("error writing checkpoint '" + tmp +
+                        "': " + std::strerror(errno));
+    }
   } catch (...) {
     ::close(fd);
     ::unlink(tmp.c_str());

@@ -1,7 +1,7 @@
 #include "msg/ep_cg_mpi.hpp"
 
 #include <cmath>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "cg/cg_impl.hpp"
@@ -17,19 +17,6 @@
 #include "par/team.hpp"
 
 namespace npb::msg {
-namespace {
-
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
-
-}  // namespace
 
 RunResult run_ep_msg(const RunConfig& cfg) {
   using namespace ep_detail;
@@ -37,7 +24,6 @@ RunResult run_ep_msg(const RunConfig& cfg) {
   const long npairs = 1L << p.log2_pairs;
   const long nblocks = (npairs + kBlockPairs - 1) / kBlockPairs;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     comm.barrier();
@@ -48,8 +34,7 @@ RunResult run_ep_msg(const RunConfig& cfg) {
     // a pure function of the shard's block range, so every thread count
     // (including the T=0 serial path) produces identical bits.
     std::vector<BlockAccum> accs(static_cast<std::size_t>(r.size()));
-    if (nthreads >= 1) {
-      TeamRef team(nthreads, topts, nullptr);
+    if (const std::unique_ptr<WorkerTeam> team = make_shard_team(cfg)) {
       team->run([&](int trank) {
         Array1<double, Unchecked> buf(static_cast<std::size_t>(2 * kBlockPairs));
         const Range tr = partition(0, r.size(), trank, nthreads);
@@ -116,7 +101,6 @@ RunResult run_cg_msg(const RunConfig& cfg) {
   using namespace cg_detail;
   const CgParams p = cg_params(cfg.cls);
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     // Deterministic generation on every rank; each keeps only its row block
@@ -140,17 +124,16 @@ RunResult run_cg_msg(const RunConfig& cfg) {
     // Note: vectors are allocated full-length but each rank only *writes*
     // its own block; pvec and z become globally consistent via allgatherv.
 
-    // Per-shard team: loop slabs write disjoint rows (exact at any T); dot
-    // partials fold in thread order, so T <= 1 reproduces the serial
-    // association bit-for-bit.
-    std::optional<TeamRef> team;
-    if (nthreads >= 1) team.emplace(nthreads, topts, nullptr);
+    // Per-shard team (T >= 2 only): loop slabs write disjoint rows (exact
+    // at any T); dot partials fold in thread order, and T <= 1 is the
+    // serial association itself.
+    const std::unique_ptr<WorkerTeam> team = make_shard_team(cfg);
     std::vector<npb::detail::PaddedDouble> partials(
-        static_cast<std::size_t>(nthreads >= 1 ? nthreads : 0));
+        static_cast<std::size_t>(team ? nthreads : 0));
 
     auto pfor = [&](auto&& fn) {
       if (team) {
-        (*team)->run([&](int trank) {
+        team->run([&](int trank) {
           const Range c = partition(rows.lo, rows.hi, trank, nthreads);
           fn(c.lo, c.hi);
         });
@@ -160,7 +143,7 @@ RunResult run_cg_msg(const RunConfig& cfg) {
     };
     auto pdot = [&](auto&& dotfn) -> double {
       if (!team) return dotfn(rows.lo, rows.hi);
-      (*team)->run([&](int trank) {
+      team->run([&](int trank) {
         const Range c = partition(rows.lo, rows.hi, trank, nthreads);
         partials[static_cast<std::size_t>(trank)].v = dotfn(c.lo, c.hi);
       });

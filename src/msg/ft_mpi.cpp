@@ -1,8 +1,8 @@
 #include "msg/ft_mpi.hpp"
 
 #include <cmath>
+#include <memory>
 #include <numbers>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -24,16 +24,6 @@ using ft_detail::fft_line;
 using ft_detail::kFtSeed;
 
 using Buf = Array1<double, Unchecked>;
-
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
 
 /// Per-rank distributed FT state.  Two layouts alternate:
 ///  - slab1: rank owns i1 in [r*n1l, (r+1)*n1l), array (n1l, n2, n3);
@@ -125,7 +115,6 @@ RunResult run_ft_msg(const RunConfig& cfg) {
   const FtParams p = ft_params(cfg.cls);
   const int niter = p.iterations;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
 
   auto width_ok = [&p](int w) {
     return w >= 1 && p.n1 % w == 0 && p.n2 % w == 0;
@@ -151,11 +140,10 @@ RunResult run_ft_msg(const RunConfig& cfg) {
     const Twiddle<Unchecked> tw3 = ft_detail::make_twiddle<Unchecked>(p.n3);
     const long maxn = std::max({p.n1, p.n2, p.n3});
 
-    // Per-shard team over the local FFT phases.  Lines write disjoint
-    // elements and each thread uses its own scratch, so any T (including
-    // the T=0 serial path) produces identical bits.
-    std::optional<TeamRef> team;
-    if (nthreads >= 1) team.emplace(nthreads, topts, nullptr);
+    // Per-shard team (T >= 2 only) over the local FFT phases.  Lines write
+    // disjoint elements and each thread uses its own scratch, so any T
+    // (including the serial path T <= 1 takes) produces identical bits.
+    const std::unique_ptr<WorkerTeam> team = make_shard_team(cfg);
     std::vector<Buf> psre, psim;
     for (int t = 0; t < std::max(1, nthreads); ++t) {
       psre.emplace_back(static_cast<std::size_t>(maxn));
@@ -163,7 +151,7 @@ RunResult run_ft_msg(const RunConfig& cfg) {
     }
     auto plines = [&](long nlines, auto&& fn) {
       if (team) {
-        (*team)->run([&](int trank) {
+        team->run([&](int trank) {
           const Range c = partition(0, nlines, trank, nthreads);
           for (long o = c.lo; o < c.hi; ++o)
             fn(o, psre[static_cast<std::size_t>(trank)],

@@ -1,7 +1,7 @@
 #include "msg/is_mpi.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/reference.hpp"
@@ -16,26 +16,12 @@
 #include "par/team.hpp"
 
 namespace npb::msg {
-namespace {
-
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
-
-}  // namespace
 
 RunResult run_is_msg(const RunConfig& cfg) {
   const IsParams p = is_params(cfg.cls);
   const long nkeys = p.total_keys;
   const long max_key = p.max_key;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     const Range my = partition(0, nkeys, comm.rank(), comm.size());
@@ -62,15 +48,14 @@ RunResult run_is_msg(const RunConfig& cfg) {
       return pr;
     }();
 
-    // Per-shard team over the histogram fill: each thread counts its slice
-    // of the keys into a private histogram, merged in thread order.  Counts
-    // are small integers, so the doubles sum exactly in any association —
-    // results are identical at every thread count.
-    std::optional<TeamRef> team;
-    if (nthreads >= 1) team.emplace(nthreads, topts, nullptr);
+    // Per-shard team (T >= 2 only) over the histogram fill: each thread
+    // counts its slice of the keys into a private histogram, merged in
+    // thread order.  Counts are small integers, so the doubles sum exactly
+    // in any association — results are identical at every thread count.
+    const std::unique_ptr<WorkerTeam> team = make_shard_team(cfg);
     std::vector<double> hist(static_cast<std::size_t>(max_key));
     std::vector<std::vector<double>> thists(
-        static_cast<std::size_t>(nthreads >= 1 ? nthreads : 0),
+        static_cast<std::size_t>(team ? nthreads : 0),
         std::vector<double>(static_cast<std::size_t>(max_key)));
 
     std::vector<double> probe_sums(static_cast<std::size_t>(p.iterations), 0.0);
@@ -90,7 +75,7 @@ RunResult run_is_msg(const RunConfig& cfg) {
       // Local histogram, then a global sum (the collective replaces the
       // shared-memory version's merge phase).
       if (team) {
-        (*team)->run([&](int trank) {
+        team->run([&](int trank) {
           auto& h = thists[static_cast<std::size_t>(trank)];
           std::fill(h.begin(), h.end(), 0.0);
           const Range c = partition(0, my.size(), trank, nthreads);

@@ -98,4 +98,15 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
   }
 }
 
+std::unique_ptr<WorkerTeam> make_shard_team(const RunConfig& cfg) {
+  if (cfg.threads < 2) return nullptr;
+  TeamOptions topts;
+  topts.barrier = cfg.barrier;
+  topts.warmup_spins = cfg.warmup_spins;
+  topts.schedule = cfg.schedule;
+  topts.fused = cfg.fused;
+  topts.mode = Mode::Msg;
+  return std::make_unique<WorkerTeam>(cfg.threads, topts);
+}
+
 }  // namespace npb::msg

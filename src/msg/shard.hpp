@@ -9,10 +9,12 @@
 // viable.
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "npb/run.hpp"
 #include "msg/shm.hpp"
+#include "par/team.hpp"
 
 namespace npb::msg {
 
@@ -43,5 +45,14 @@ struct HybridOutcome {
 HybridOutcome run_hybrid(const RunConfig& cfg,
                          const std::function<bool(int)>& width_ok,
                          const ShardBody& body);
+
+/// The per-shard team of a hybrid run: cfg.threads workers under the run's
+/// barrier, schedule and fused options, built only for cfg.threads >= 2.
+/// For T <= 1 it returns null and the shard computes on its own process
+/// thread through the driver's T=0 path, which every msg driver keeps
+/// bit-identical to a 1-wide team — the way an MPI rank with one OpenMP
+/// thread runs, without a condvar handoff per loop.  Call it inside the
+/// ShardBody: a team's threads cannot cross fork().
+std::unique_ptr<WorkerTeam> make_shard_team(const RunConfig& cfg);
 
 }  // namespace npb::msg

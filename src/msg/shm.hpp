@@ -11,11 +11,14 @@
 // receiver that sees a mismatch aborts the run with the *sender* blamed in
 // `crc_blamed`, so corrupt bytes can cost a retry but never verify.
 //
-// Parking uses raw FUTEX_WAIT/FUTEX_WAKE *without* FUTEX_PRIVATE_FLAG —
-// libstdc++'s atomic wait uses private futexes, which never cross a process
-// boundary.  Non-Linux builds fall back to a short nanosleep poll.  Every
-// wait carries a ~50 ms timeout and rechecks the segment's abort flag, so a
-// worker whose peer died unreported can never park forever.
+// A waiter (empty ring, full ring, barrier) first spins a bounded number of
+// `pause` iterations, tens of µs, so a peer that answers promptly costs no
+// kernel round trip; only then does it park.  Parking uses raw
+// FUTEX_WAIT/FUTEX_WAKE *without* FUTEX_PRIVATE_FLAG — libstdc++'s atomic
+// wait uses private futexes, which never cross a process boundary.
+// Non-Linux builds fall back to a short sleep poll.  Every park carries a
+// ~50 ms timeout and rechecks the segment's abort flag, so a worker whose
+// peer died unreported can never park forever.
 
 #include <functional>
 #include <string>

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -223,6 +225,47 @@ TEST(CkptSession, CorruptFlushKeepsThePreviousGoodCheckpoint) {
   const auto views = s.mut_views(oa, ob);
   EXPECT_EQ(loader.consume_resume(views), 3);
   EXPECT_EQ(oa[0], 1.5);  // the pre-corruption value
+}
+
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+TEST(CkptSession, CommittedFileEqualsEncodeByteForByte) {
+  // flush streams the header, the live spans and the payload CRC straight
+  // to the temp file; what it commits must be encode()'s image exactly.
+  const Sample s;
+  const std::string dir = fresh_dir("bytes");
+  ckpt::CkptOptions opts;
+  opts.dir = dir;
+  ckpt::Session saver(sample_meta(), opts);
+  ASSERT_TRUE(saver.flush(s.step, s.views(), false));
+  EXPECT_EQ(file_bytes(saver.save_path()), s.encode());
+}
+
+TEST(CkptSession, CorruptFlushFlipsTheFileNeverTheLiveSpans) {
+  Sample s;
+  const Sample pristine;
+  const std::string dir = fresh_dir("corrupt_live");
+  ckpt::CkptOptions opts;
+  opts.dir = dir;
+  ckpt::Session saver(sample_meta(), opts);
+  // An empty span first and the payload midpoint (byte 24 of 48) inside the
+  // last span: locating the flipped byte has to walk the span table.
+  const std::vector<ckpt::SpanView> views = {
+      {nullptr, 0},
+      {s.b.data(), s.b.size() * sizeof(double)},
+      {s.a.data(), s.a.size() * sizeof(double)}};
+  EXPECT_FALSE(saver.flush(s.step, views, true));
+  EXPECT_EQ(s.a, pristine.a);
+  EXPECT_EQ(s.b, pristine.b);
+  EXPECT_FALSE(file_exists(saver.save_path()));
+  EXPECT_FALSE(file_exists(saver.save_path() + ".tmp"));
 }
 
 TEST(CkptSession, MissingResumeFileIsACkptError) {

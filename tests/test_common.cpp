@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "common/classes.hpp"
+#include "common/crc32c.hpp"
 #include "common/mode.hpp"
 #include "common/table.hpp"
 #include "common/verify.hpp"
@@ -108,6 +113,82 @@ TEST(Table, RendersHeaderAndRows) {
 TEST(Table, CellPrecision) {
   EXPECT_EQ(Table::cell(1.23456, 3), "1.235");
   EXPECT_EQ(Table::cell(-0.5), "-");
+}
+
+// ---- CRC32C ---------------------------------------------------------------
+// crc32c() takes the CPU's crc32 instruction where it has one; every case
+// below holds it and the portable slicing-by-8 path to the same values.
+
+const char* crc_path() {
+  return crc::detail::crc32c_hardware()
+             ? "crc32c() on the crc32 instruction"
+             : "crc32c() on the portable path (no SSE4.2 on this CPU)";
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::mt19937& rng) {
+  std::vector<unsigned char> b(n);
+  for (unsigned char& c : b) c = static_cast<unsigned char>(rng());
+  return b;
+}
+
+TEST(Crc32c, Rfc3720KnownAnswersOnBothPaths) {
+  SCOPED_TRACE(crc_path());
+  // RFC 3720 (iSCSI), appendix B.4, plus the customary "123456789" check.
+  std::vector<unsigned char> up(32), down(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<unsigned char>(i);
+    down[i] = static_cast<unsigned char>(31 - i);
+  }
+  const std::string digits = "123456789";
+  const struct {
+    const char* name;
+    std::vector<unsigned char> bytes;
+    std::uint32_t crc;
+  } vectors[] = {
+      {"\"123456789\"", {digits.begin(), digits.end()}, 0xE3069283u},
+      {"32 x 0x00", std::vector<unsigned char>(32, 0x00), 0x8A9136AAu},
+      {"32 x 0xFF", std::vector<unsigned char>(32, 0xFF), 0x62A8AB43u},
+      {"0x00..0x1F", up, 0x46DD794Eu},
+      {"0x1F..0x00", down, 0x113FDB5Cu},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(crc::crc32c(v.bytes.data(), v.bytes.size()), v.crc) << v.name;
+    EXPECT_EQ(crc::detail::crc32c_portable(v.bytes.data(), v.bytes.size()),
+              v.crc)
+        << v.name;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableAtEveryLengthOffsetAndSeed) {
+  SCOPED_TRACE(crc_path());
+  std::mt19937 rng(3720);
+  const std::vector<unsigned char> buf = random_bytes(1024 + 8, rng);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const auto seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(crc::crc32c(buf.data() + off, len, seed),
+                crc::detail::crc32c_portable(buf.data() + off, len, seed))
+          << "offset " << off << ", length " << len << ", seed " << seed;
+    }
+}
+
+TEST(Crc32c, SeedComposesAtEverySplit) {
+  SCOPED_TRACE(crc_path());
+  std::mt19937 rng(82);
+  const std::vector<unsigned char> buf = random_bytes(300, rng);
+  const std::uint32_t whole = crc::crc32c(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::size_t rest = buf.size() - split;
+    EXPECT_EQ(crc::crc32c(buf.data() + split, rest,
+                          crc::crc32c(buf.data(), split)),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(crc::detail::crc32c_portable(
+                  buf.data() + split, rest,
+                  crc::detail::crc32c_portable(buf.data(), split)),
+              whole)
+        << "portable, split " << split;
+  }
 }
 
 }  // namespace

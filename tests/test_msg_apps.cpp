@@ -137,19 +137,24 @@ TEST_P(HybridMsg, TeamWidthNeverChangesResults) {
   // deliberately folds dot partials in thread order (the association the
   // shared-memory conj_grad uses, which CgMpiRanks pins bitwise at equal
   // worker counts), so its team-width promise is the NPB epsilon tier, not
-  // bit identity.
+  // bit identity.  T=1 builds no shard team: the shard computes on its own
+  // thread through the T=0 path, so it is exact for every benchmark.
   const RunResult serial =
       run_msg(GetParam(), 2, 0, msg::TransportKind::InProc);
-  const RunResult teamed =
-      run_msg(GetParam(), 2, 2, msg::TransportKind::InProc);
   EXPECT_TRUE(serial.verified) << serial.verify_detail;
-  EXPECT_TRUE(teamed.verified) << teamed.verify_detail;
-  const bool reassociates = std::string_view(GetParam()) == "CG";
-  const auto tol = reassociates ? testing::Tolerance::npb_eps()
-                                : testing::Tolerance::exact();
-  const auto cmp =
-      testing::compare_checksums(teamed.checksums, serial.checksums, tol);
-  EXPECT_TRUE(cmp.passed) << GetParam() << ": " << cmp.detail;
+  for (const int threads : {1, 2}) {
+    const RunResult threaded =
+        run_msg(GetParam(), 2, threads, msg::TransportKind::InProc);
+    EXPECT_TRUE(threaded.verified) << threaded.verify_detail;
+    const bool reassociates =
+        std::string_view(GetParam()) == "CG" && threads >= 2;
+    const auto tol = reassociates ? testing::Tolerance::npb_eps()
+                                  : testing::Tolerance::exact();
+    const auto cmp =
+        testing::compare_checksums(threaded.checksums, serial.checksums, tol);
+    EXPECT_TRUE(cmp.passed) << GetParam() << " at T=" << threads << ": "
+                            << cmp.detail;
+  }
 }
 
 TEST_P(HybridMsg, ShmTransportMatchesInProcBitwise) {
@@ -183,6 +188,31 @@ TEST(HybridMsg, ShmRunMergesOneSnapshotPerShard) {
   for (int rank = 0; rank < 3; ++rank)
     EXPECT_EQ(r.shards[static_cast<std::size_t>(rank)].rank, rank);
 }
+
+#ifndef NPB_OBS_DISABLED
+TEST(HybridMsg, OneThreadShardsDispatchNoTeamRegion) {
+  // A 1-thread shard runs on its own process thread, like an MPI rank with
+  // one OpenMP thread: no shard team, so no team dispatch in any shard's
+  // snapshot.  From T=2 on, each shard drives its own team.
+  for (const int threads : {1, 2}) {
+    RunConfig cfg;
+    cfg.cls = ProblemClass::S;
+    cfg.mode = Mode::Msg;
+    cfg.threads = threads;
+    cfg.msg.procs = 2;
+    cfg.msg.transport = msg::TransportKind::Shm;
+    const RunResult r = run_instrumented(msg::find_msg_benchmark("CG"), cfg);
+    EXPECT_TRUE(r.verified) << r.verify_detail;
+    ASSERT_EQ(r.shards.size(), 2u) << "T=" << threads;
+    for (const obs::ShardSnapshot& shard : r.shards) {
+      if (threads == 1)
+        EXPECT_EQ(shard.snap.dispatches_count, 0u) << "rank " << shard.rank;
+      else
+        EXPECT_GE(shard.snap.dispatches_count, 1u) << "rank " << shard.rank;
+    }
+  }
+}
+#endif
 
 // ---- losing a shard mid-run ------------------------------------------------
 
