@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const benchutil::Args args = benchutil::parse(argc, argv);
 
   Table t("LU synchronization ablation: pipelined vs hyperplane sweeps "
-          "(class " + std::string(to_string(args.cls)) + ", seconds)");
+          "(class " + std::string(to_string(args.cfg.cls)) + ", seconds)");
   std::vector<std::string> header{"Variant/mode", "Serial"};
   for (int th : args.threads)
     if (th > 0) header.push_back(std::to_string(th));
@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
       {"LU hyperplane java", &run_lu_hp, Mode::Java},
   };
   for (const Row& row : rows) {
-    RunConfig cfg;
-    cfg.cls = args.cls;
+    RunConfig cfg = args.cfg;
     cfg.mode = row.mode;
-    cfg.mem = args.mem;
     cfg.threads = 0;
     std::vector<std::string> cells{row.label,
                                    Table::cell(benchutil::timed_run(row.fn, cfg))};

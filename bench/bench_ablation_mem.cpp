@@ -69,9 +69,9 @@ void mem_table(const npb::benchutil::Args& args) {
     const char* label;
     npb::mem::MemOptions opt;
   };
-  npb::mem::MemOptions serial = args.mem;
+  npb::mem::MemOptions serial = args.cfg.mem;
   serial.placement = npb::mem::Placement::Serial;
-  npb::mem::MemOptions ft = args.mem;
+  npb::mem::MemOptions ft = args.cfg.mem;
   ft.placement = npb::mem::Placement::FirstTouch;
   npb::mem::MemOptions fth = ft;
   fth.huge_pages = true;
@@ -86,20 +86,17 @@ void mem_table(const npb::benchutil::Args& args) {
   if (threads.empty()) threads = {1, 2, 4};
 
   npb::Table t("Memory placement ablation: seconds (first-touch ms), class " +
-               std::string(npb::to_string(args.cls)));
+               std::string(npb::to_string(args.cfg.cls)));
   t.set_header({"Benchmark", "threads", policies[0].label, policies[1].label,
                 policies[2].label});
   for (const char* name : names) {
     const npb::RunFn fn = npb::find_benchmark(name);
     for (int th : threads) {
-      std::vector<std::string> row{npb::benchutil::label(name, args.cls),
+      std::vector<std::string> row{npb::benchutil::label(name, args.cfg.cls),
                                    std::to_string(th)};
       for (const Policy& p : policies) {
-        npb::RunConfig cfg;
-        cfg.cls = args.cls;
+        npb::RunConfig cfg = args.cfg;
         cfg.threads = th;
-        cfg.warmup_spins = args.warmup ? 1000000 : 0;
-        cfg.schedule = args.schedule;
         cfg.mem = p.opt;
         const npb::RunResult r = npb::run_instrumented(fn, cfg);
         if (!r.verified) {

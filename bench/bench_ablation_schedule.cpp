@@ -105,18 +105,15 @@ void schedule_table(const npb::benchutil::Args& args) {
 
   npb::Table t("Schedule ablation: seconds (imbalance = max/mean rank iters), " +
                std::to_string(threads) + " threads, class " +
-               std::string(npb::to_string(args.cls)));
+               std::string(npb::to_string(args.cfg.cls)));
   t.set_header({"Benchmark", "static", "dynamic", "guided"});
   for (const char* name : names) {
     const npb::RunFn fn = npb::find_benchmark(name);
-    std::vector<std::string> row{npb::benchutil::label(name, args.cls)};
+    std::vector<std::string> row{npb::benchutil::label(name, args.cfg.cls)};
     for (const npb::Schedule& sched : kinds) {
-      npb::RunConfig cfg;
-      cfg.cls = args.cls;
+      npb::RunConfig cfg = args.cfg;
       cfg.threads = threads;
-      cfg.warmup_spins = args.warmup ? 1000000 : 0;
       cfg.schedule = sched;
-      cfg.mem = args.mem;
       const npb::RunResult r = npb::run_instrumented(fn, cfg);
       if (!r.verified) {
         row.push_back("FAILED");

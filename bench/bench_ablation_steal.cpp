@@ -70,17 +70,14 @@ BENCHMARK(BM_Workload)
 /// the steal personality's counter totals, for the human-readable summary.
 void steal_table(const npb::benchutil::Args& args) {
   npb::Table t("Runtime ablation: seconds spmd / steal (steals:attempts), "
-               "class " + std::string(npb::to_string(args.cls)));
+               "class " + std::string(npb::to_string(args.cfg.cls)));
   t.set_header({"Workload", "t=1", "t=2", "t=3", "t=7"});
   for (const Workload& w : kWorkloads) {
     const npb::RunFn fn = w.fn != nullptr ? w.fn : npb::find_benchmark("cg");
     std::vector<std::string> row{w.name};
     for (const int threads : {1, 2, 3, 7}) {
-      npb::RunConfig cfg;
-      cfg.cls = args.cls;
+      npb::RunConfig cfg = args.cfg;
       cfg.threads = threads;
-      cfg.warmup_spins = args.warmup ? 1000000 : 0;
-      cfg.mem = args.mem;
       cfg.runtime = npb::Runtime::Spmd;
       const npb::RunResult spmd = npb::run_instrumented(fn, cfg);
       cfg.runtime = npb::Runtime::Steal;

@@ -91,7 +91,7 @@ void warmup_table() {
   cfg.threads = 2;
   cfg.warmup_spins = 0;
   t.add_row({"no warm-up", npb::Table::cell(npb::run_cg(cfg).seconds, 3)});
-  cfg.warmup_spins = 1000000;
+  cfg.warmup_spins = npb::kWarmupSpins;
   t.add_row({"warm-up (1e6 spins/thread)", npb::Table::cell(npb::run_cg(cfg).seconds, 3)});
   std::fputs(t.render().c_str(), stdout);
   std::puts("With 1:1 kernel threads the fix changes nothing (expected divergence\n"

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   Table t("Related work: Java-threads translation vs javampi-style message\n"
           "passing, FT/IS/EP/CG (class " +
-          std::string(to_string(args.cls)) + ", seconds)");
+          std::string(to_string(args.cfg.cls)) + ", seconds)");
   std::vector<std::string> header{"Benchmark/model"};
   for (int th : args.threads)
     if (th > 0) header.push_back(std::to_string(th));
@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::string(name) + " threads"};
     for (int th : args.threads) {
       if (th <= 0) continue;
-      RunConfig cfg;
-      cfg.cls = args.cls;
+      RunConfig cfg = args.cfg;
       cfg.mode = Mode::Native;
-      cfg.mem = args.mem;
       cfg.threads = th;
       row.push_back(Table::cell(benchutil::timed_run(fn, cfg)));
     }
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
       if (th <= 0) continue;
       double secs = -1.0;
       try {
-        const RunResult r = fn(args.cls, th);
+        const RunResult r = fn(args.cfg.cls, th);
         if (r.verified) {
           secs = r.seconds;
         } else {

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (npb::CfdOp op : kOps) {
     npb::CfdConfig cfg;
     cfg.reps = reps;
-    cfg.mem = args.mem;
+    cfg.mem = args.cfg.mem;
     cfg.mode = npb::Mode::Native;
     cfg.threads = 0;
     const double f77 = npb::run_cfd_op(op, cfg).seconds;

@@ -10,7 +10,8 @@
 // ratios split into structured-grid vs unstructured benchmarks, and the
 // section 5.2 thread-overhead figures (1 thread vs serial).
 //
-// Flags: --class=S|W|A   --threads=0,1,2,...   --warmup
+// Flags: --class=S|W|A   --threads=0,1,2,...   plus the shared run options
+// of bench_util.hpp (--warmup, --schedule, memory policy).
 // Default class S so the full bench directory stays fast; the paper's size
 // is --class=A.
 
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
 
   Table t("Tables 2-4. Benchmark times in seconds (this host; Java-mode vs "
           "native-mode rows; class " +
-          std::string(to_string(args.cls)) + ")");
+          std::string(to_string(args.cfg.cls)) + ")");
   std::vector<std::string> header{"Benchmark", "Serial"};
   for (int th : args.threads)
     if (th > 0) header.push_back(std::to_string(th));
@@ -47,16 +48,11 @@ int main(int argc, char** argv) {
   std::map<std::string, Ratios> analysis;
 
   for (const auto& info : suite()) {
-    RunConfig cfg;
-    cfg.cls = args.cls;
-    cfg.warmup_spins = args.warmup ? 1000000 : 0;
-    cfg.schedule = args.schedule;
-    cfg.mem = args.mem;
-
+    RunConfig cfg = args.cfg;
     cfg.mode = Mode::Java;
     cfg.threads = 0;
     const double jser = benchutil::timed_run(info.fn, cfg, rp);
-    std::vector<std::string> jrow{benchutil::label(info.name, args.cls) + " Java",
+    std::vector<std::string> jrow{benchutil::label(info.name, args.cfg.cls) + " Java",
                                   Table::cell(jser)};
     double j1 = -1.0;
     for (int th : args.threads) {
@@ -71,7 +67,7 @@ int main(int argc, char** argv) {
     cfg.mode = Mode::Native;
     cfg.threads = 0;
     const double nser = benchutil::timed_run(info.fn, cfg, rp);
-    std::vector<std::string> nrow{benchutil::label(info.name, args.cls) + " native",
+    std::vector<std::string> nrow{benchutil::label(info.name, args.cfg.cls) + " native",
                                   Table::cell(nser)};
     for (int th : args.threads) {
       if (th <= 0) continue;

@@ -4,7 +4,8 @@
 // obtain any speedup on any benchmark when using 2 threads"; on a 1-2 CPU
 // container this reproduces directly.
 //
-// Flags: --class=S|W|A   --warmup
+// Flags: --class=S|W|A   plus the shared run options of bench_util.hpp
+// (--warmup, --schedule, memory policy).
 
 #include <cstdio>
 
@@ -23,15 +24,12 @@ int main(int argc, char** argv) {
 
   Table t("Tables 5-6. Benchmark times in seconds, 2-CPU desktop shape "
           "(Java mode, class " +
-          std::string(to_string(args.cls)) + ")");
+          std::string(to_string(args.cfg.cls)) + ")");
   t.set_header({"Benchmark", "Serial", "1", "2", "speedup(2)"});
 
   for (const auto& info : suite()) {
-    RunConfig cfg;
-    cfg.cls = args.cls;
+    RunConfig cfg = args.cfg;
     cfg.mode = Mode::Java;
-    cfg.warmup_spins = args.warmup ? 1000000 : 0;
-    cfg.mem = args.mem;
 
     cfg.threads = 0;
     const double ser = benchutil::timed_run(info.fn, cfg, rp);
@@ -46,7 +44,7 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(speedup, sizeof speedup, "-");
     }
-    t.add_row({benchutil::label(info.name, args.cls), Table::cell(ser),
+    t.add_row({benchutil::label(info.name, args.cfg.cls), Table::cell(ser),
                Table::cell(t1), Table::cell(t2), speedup});
     std::fprintf(stderr, "%s done\n", info.name);
   }

@@ -1,10 +1,11 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "npb/registry.hpp"
+#include "svc/options.hpp"
 
 namespace npb::benchutil {
 namespace {
@@ -25,47 +26,34 @@ std::vector<int> parse_threads(const char* spec) {
 }  // namespace
 
 Args parse(int argc, char** argv, Args defaults) {
+  // The run-option rows the table benches take, out of npbrun's table.
+  constexpr std::string_view kBenchFlags[] = {
+      "--class",     "--warmup",      "--schedule",
+      "--mem-align", "--first-touch", "--huge-pages"};
   Args a = defaults;
   if (const char* env = std::getenv("NPB_CLASS")) {
-    if (const auto c = parse_class(env)) a.cls = *c;
+    if (const auto c = parse_class(env)) a.cfg.cls = *c;
   }
   if (const char* env = std::getenv("NPB_THREADS")) {
     const auto t = parse_threads(env);
     if (!t.empty()) a.threads = t;
   }
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--class=", 8) == 0) {
-      if (const auto c = parse_class(arg + 8)) {
-        a.cls = *c;
-      } else {
-        std::fprintf(stderr, "unknown class '%s'\n", arg + 8);
-      }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      const auto t = parse_threads(arg + 10);
+    const std::string_view arg = argv[i];
+    const svc::RunOption* row = svc::find_flag(arg);
+    if (arg.starts_with("--threads=")) {
+      const auto t = parse_threads(argv[i] + 10);
       if (!t.empty()) a.threads = t;
-    } else if (std::strcmp(arg, "--warmup") == 0) {
-      a.warmup = true;
-    } else if (std::strncmp(arg, "--schedule=", 11) == 0) {
-      if (const auto s = parse_schedule(arg + 11)) {
-        a.schedule = *s;
-      } else {
-        std::fprintf(stderr, "unknown schedule '%s'\n", arg + 11);
-      }
-    } else if (std::strncmp(arg, "--mem-align=", 12) == 0) {
-      if (const auto al = mem::parse_alignment(arg + 12)) {
-        a.mem.alignment = *al;
-      } else {
-        std::fprintf(stderr, "bad alignment '%s'\n", arg + 12);
-      }
-    } else if (std::strcmp(arg, "--first-touch") == 0) {
-      a.mem.placement = mem::Placement::FirstTouch;
-    } else if (std::strcmp(arg, "--huge-pages") == 0) {
-      a.mem.huge_pages = true;
-    } else if (std::strncmp(arg, "--obs-report=", 13) == 0) {
-      a.obs_report = arg + 13;
+    } else if (arg.starts_with("--obs-report=")) {
+      a.obs_report = arg.substr(13);
+    } else if (row != nullptr && std::find(std::begin(kBenchFlags),
+                                           std::end(kBenchFlags),
+                                           row->flag) != std::end(kBenchFlags)) {
+      if (const std::string err = svc::apply_flag(*row, arg, a.cfg);
+          !err.empty())
+        std::fprintf(stderr, "ignoring %s: %s\n", argv[i], err.c_str());
     } else {
-      std::fprintf(stderr, "ignoring unknown argument '%s'\n", arg);
+      std::fprintf(stderr, "ignoring unknown argument '%s'\n", argv[i]);
     }
   }
   return a;

@@ -15,24 +15,23 @@
 //   --huge-pages             2 MiB page hint for buffers that large
 //   --obs-report=FILE        write an observability report of every run to
 //                            FILE (JSON, or CSV when FILE ends in .csv)
-// plus NPB_CLASS / NPB_THREADS environment variables as fallbacks.
+// plus NPB_CLASS / NPB_THREADS environment variables as fallbacks.  A bad
+// value or an unknown flag is reported on stderr and ignored.
 
 #include <string>
 #include <vector>
 
-#include "common/classes.hpp"
-#include "mem/options.hpp"
 #include "npb/run.hpp"
 #include "obs/report.hpp"
 
 namespace npb::benchutil {
 
 struct Args {
-  ProblemClass cls = ProblemClass::S;
+  /// What the run-option flags above set (class, warm-up, schedule, memory
+  /// policy), through npbrun's own rows (svc/options.hpp).  Every table
+  /// bench starts its runs from this config.
+  RunConfig cfg;
   std::vector<int> threads{0, 1, 2};
-  bool warmup = false;
-  Schedule schedule{};     ///< loop schedule forwarded to RunConfig
-  mem::MemOptions mem{};   ///< allocation policy forwarded to RunConfig
   std::string obs_report;  ///< empty = no report
 };
 

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   npb::RunConfig cfg;
   cfg.cls = npb::ProblemClass::S;
   cfg.threads = threads;
-  cfg.warmup_spins = 1000000;
+  cfg.warmup_spins = npb::kWarmupSpins;
   const npb::RunResult warmed = npb::run_cg(cfg);
   std::printf("\nwith the paper's warm-up fix (1e6 spins/worker): zeta %.10f, %.2fs\n",
               warmed.checksums[0], warmed.seconds);

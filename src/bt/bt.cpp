@@ -22,9 +22,7 @@ pseudoapp::AppParams bt_params(ProblemClass cls) noexcept {
 RunResult run_bt(const RunConfig& cfg) {
   using namespace bt_detail;
   const AppParams p = bt_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, Schedule{},
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("BT", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);

@@ -37,6 +37,8 @@ struct CkptOptions {
 
   /// True when a checkpoint session should be installed at all.
   bool active() const noexcept { return !dir.empty() || !resume_path.empty(); }
+
+  bool operator==(const CkptOptions&) const = default;
 };
 
 }  // namespace npb::ckpt

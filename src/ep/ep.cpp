@@ -24,9 +24,7 @@ EpParams ep_params(ProblemClass cls) noexcept {
 RunResult run_ep(const RunConfig& cfg) {
   using namespace ep_detail;
   const EpParams p = ep_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("EP", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);

@@ -83,6 +83,8 @@ struct FaultSpec {
   unsigned long seed = 0; ///< 0-based matching-occurrence index that fires
   long delay_ms = 0;      ///< Kind::Delay only
   bool persist = false;   ///< keep firing at every occurrence >= seed
+
+  bool operator==(const FaultSpec&) const = default;
 };
 
 struct FaultOptions {
@@ -100,6 +102,8 @@ struct FaultOptions {
   bool allow_degraded = true;
 
   bool armed() const noexcept { return !specs.empty(); }
+
+  bool operator==(const FaultOptions&) const = default;
 };
 
 const char* to_string(Site s) noexcept;

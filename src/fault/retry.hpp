@@ -203,8 +203,9 @@ class StepRunner {
     // machinery engaged even without injection specs, so a genuinely hung
     // rank (the watchdog's real-world case) still gets restore-and-retry
     // instead of propagating RegionAborted out of the run.  A durable
-    // checkpoint session always takes the slow path — it needs the shadow
-    // snapshot as the serialization source and the resume-skip gate.
+    // checkpoint session always takes the slow path, for the resume gate,
+    // the cadence flush, and the retry after a failed flush (which restores
+    // the shadow snapshot).  The flush itself writes the live spans.
     if (session_ == nullptr && !inj.armed() && topts_.watchdog_ms <= 0) {
       body(team(), width_);
       if (ckpt::interrupt_requested()) throw ckpt::Interrupted(step_no);

@@ -24,9 +24,7 @@ FtParams ft_params(ProblemClass cls) noexcept {
 RunResult run_ft(const RunConfig& cfg) {
   using namespace ft_detail;
   const FtParams p = ft_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, Schedule{},
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("FT", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);

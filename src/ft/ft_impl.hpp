@@ -205,11 +205,12 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   // Team first, then allocation: under FirstTouch the big field arrays are
   // committed slab-by-slab on the ranks whose i1-planes they hold — FT's
   // memory-pressure collapse in the paper is exactly the cost of streaming
-  // the whole field out of one node.
+  // the whole field out of one node.  The slabs are static under every
+  // --schedule, as FT's loops are.
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   const FtState<P> st(p.n1, p.n2, p.n3);
   const std::size_t total = st.total();

@@ -114,9 +114,7 @@ void getrf_blocked(Exec& ex, std::vector<double>& a, long n,
 
 RunResult run_getrf_irr(const RunConfig& cfg) {
   const GetrfParams p = getrf_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 

@@ -159,9 +159,7 @@ void knn_query(const Grid& gr, const std::vector<double>& xs,
 
 RunResult run_knn(const RunConfig& cfg) {
   const KnnParams p = knn_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 

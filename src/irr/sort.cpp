@@ -158,9 +158,7 @@ void sort_task(double* a, double* tmp, long n, int depth) {
 
 RunResult run_sort(const RunConfig& cfg) {
   const SortParams p = sort_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 

@@ -22,9 +22,7 @@ IsParams is_params(ProblemClass cls) noexcept {
 RunResult run_is(const RunConfig& cfg) {
   using namespace is_detail;
   const IsParams p = is_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("IS", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);

@@ -22,9 +22,7 @@ pseudoapp::AppParams lu_params(ProblemClass cls) noexcept {
 RunResult run_lu(const RunConfig& cfg) {
   using namespace lu_detail;
   const AppParams p = lu_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, Schedule{},
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("LU", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
@@ -48,9 +46,7 @@ RunResult run_lu(const RunConfig& cfg) {
 RunResult run_lu_hp(const RunConfig& cfg) {
   using namespace lu_detail;
   const AppParams p = lu_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, Schedule{},
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   // Distinct checkpoint identity: LU-HP's hyperplane sweeps carry the same
   // u field but a different execution shape, so its files never collide

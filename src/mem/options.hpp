@@ -37,6 +37,8 @@ struct MemOptions {
   /// kernel to back the arrays with huge pages (fewer TLB misses on the
   /// big class A-C grids).  A hint only: ignored where unsupported.
   bool huge_pages = false;
+
+  bool operator==(const MemOptions&) const = default;
 };
 
 const char* to_string(Placement p) noexcept;

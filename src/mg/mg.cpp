@@ -24,9 +24,7 @@ MgParams mg_params(ProblemClass cls) noexcept {
 RunResult run_mg(const RunConfig& cfg) {
   using namespace mg_detail;
   const MgParams p = mg_params(cfg.cls);
-  const TeamOptions topts{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                          cfg.fused, cfg.fault.watchdog_ms, cfg.mode,
-                          cfg.runtime};
+  const TeamOptions topts = team_options(cfg);
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("MG", cfg), cfg.ckpt);
   const mem::ScopedMemConfig mem_scope(cfg.mem);

@@ -146,9 +146,11 @@ std::vector<double> Communicator::alltoallv(
     offsets[static_cast<std::size_t>(peer) + 1] =
         offsets[static_cast<std::size_t>(peer)] + counts[static_cast<std::size_t>(peer)];
   std::vector<double> merged(offsets.back());
-  std::memcpy(merged.data() + offsets[static_cast<std::size_t>(rank_)],
-              outgoing[static_cast<std::size_t>(rank_)].data(),
-              counts[static_cast<std::size_t>(rank_)] * sizeof(double));
+  // An empty slice may come with null data(), which memcpy must not see.
+  if (counts[static_cast<std::size_t>(rank_)] > 0)
+    std::memcpy(merged.data() + offsets[static_cast<std::size_t>(rank_)],
+                outgoing[static_cast<std::size_t>(rank_)].data(),
+                counts[static_cast<std::size_t>(rank_)] * sizeof(double));
   for (int s = 1; s < size_; ++s) {
     const int to = (rank_ + s) % size_;
     const int from = (rank_ - s + size_) % size_;
@@ -164,8 +166,9 @@ void Communicator::allgatherv(std::span<const double> local, std::span<double> f
   if (offsets.size() != static_cast<std::size_t>(size_) + 1)
     throw std::length_error("allgatherv: offsets must have size+1 entries");
   constexpr int kTagGather = -105;
-  std::memcpy(full.data() + offsets[static_cast<std::size_t>(rank_)], local.data(),
-              local.size() * sizeof(double));
+  if (!local.empty())
+    std::memcpy(full.data() + offsets[static_cast<std::size_t>(rank_)],
+                local.data(), local.size() * sizeof(double));
   for (int s = 1; s < size_; ++s) {
     const int to = (rank_ + s) % size_;
     const int from = (rank_ - s + size_) % size_;

@@ -27,6 +27,8 @@ struct MsgOptions {
   /// RunConfig::threads).  1 = a single shard, still through the transport.
   int procs = 1;
   TransportKind transport = TransportKind::InProc;
+
+  bool operator==(const MsgOptions&) const = default;
 };
 
 inline const char* to_string(TransportKind k) noexcept {

@@ -13,10 +13,13 @@
 #include "obs/obs.hpp"
 #include "par/barrier.hpp"
 #include "par/schedule.hpp"
+#include "par/team.hpp"
 
 namespace npb {
 
-class WorkerTeam;
+/// Priming spins per worker that --warmup (job key "warmup") requests: the
+/// paper's CG thread warm-up fix (see TeamOptions::warmup_spins).
+inline constexpr long kWarmupSpins = 1000000;
 
 /// One benchmark execution request.  `threads == 0` runs the plain serial
 /// code path (no team, no synchronization — the paper's "Serial" column);
@@ -57,8 +60,8 @@ struct RunConfig {
   /// Durable checkpoint/restart policy: --ckpt-dir enables flushes of the
   /// step-carried state every --ckpt-every steps, --resume restores the
   /// newest checkpoint and continues from the step after it.  Inactive by
-  /// default; requires a threaded (threads >= 1) shared-memory run — the
-  /// CLI rejects serial and msg-mode combinations up front.
+  /// default; requires a threaded (threads >= 1) shared-memory run — npbrun
+  /// and the service reject serial and msg-mode combinations up front.
   ckpt::CkptOptions ckpt{};
   /// Pooled team to run on (service scheduler checkout), or null to build a
   /// private team.  Borrowed only when its width and TeamOptions match the
@@ -72,7 +75,18 @@ struct RunConfig {
   /// shared-memory modes; a forked shard never borrows `team` (a pooled
   /// team's threads cannot cross fork()).
   msg::MsgOptions msg{};
+
+  bool operator==(const RunConfig&) const = default;
 };
+
+/// The TeamOptions a run's team is built with: every driver wrapper builds
+/// its team from this, and the service pool builds its leased teams from it,
+/// so a leased team always matches what the driver asks TeamRef for.
+inline TeamOptions team_options(const RunConfig& cfg) {
+  return TeamOptions{cfg.barrier, cfg.warmup_spins, cfg.schedule,
+                     cfg.fused,   cfg.fault.watchdog_ms, cfg.mode,
+                     cfg.runtime};
+}
 
 /// The durable-checkpoint identity of one run: everything a --resume must
 /// match before restoring bytes into live arrays.  Each driver wrapper

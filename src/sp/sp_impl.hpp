@@ -236,11 +236,12 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
            WorkerTeam* pooled = nullptr) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
-  // the master during init_fields.
+  // the master during init_fields.  The sweeps split planes statically
+  // under every --schedule, so placement does too.
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
   init_fields(f);

@@ -2,11 +2,9 @@
 
 #include <cstring>
 
-#include "fault/options.hpp"
 #include "irr/irr.hpp"
-#include "mem/mem.hpp"
-#include "msg/msg_suite.hpp"
 #include "npb/registry.hpp"
+#include "svc/options.hpp"
 
 namespace npb::svc {
 namespace {
@@ -14,19 +12,6 @@ namespace {
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
-}
-
-/// Strict non-negative integer parse for flag values: digits only, bounded;
-/// atoi-style silent zeros ('--threads=two' -> 0) are rejected instead.
-bool parse_flag_int(const char* s, int& out) {
-  if (*s == '\0' || std::strlen(s) > 9) return false;
-  int v = 0;
-  for (; *s != '\0'; ++s) {
-    if (*s < '0' || *s > '9') return false;
-    v = v * 10 + (*s - '0');
-  }
-  out = v;
-  return true;
 }
 
 /// "1,2,2,3" -> {1,2,2,3}; widths 0..32 (0 = a serial slot).
@@ -39,11 +24,11 @@ bool parse_pool_widths(const char* s, std::vector<int>& out,
       tok += *p;
       continue;
     }
-    int w = 0;
-    if (!parse_flag_int(tok.c_str(), w) || w > 32)
+    const auto w = parse_count(tok);
+    if (!w || *w > 32)
       return fail(error,
                   "bad pool width '" + tok + "' (want 0..32, comma-separated)");
-    out.push_back(w);
+    out.push_back(*w);
     tok.clear();
     if (*p == '\0') break;
   }
@@ -64,11 +49,11 @@ bool parse_serve_args(int argc, const char* const* argv, CliOptions& opts,
         return false;
       }
     } else if (std::strncmp(a, "--queue-cap=", 12) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 12, v) || v < 1)
+      const auto v = parse_count(a + 12);
+      if (!v || *v < 1)
         return fail(error, "bad queue capacity '" + std::string(a + 12) +
                                "' (want a number >= 1)");
-      opts.queue_capacity = static_cast<std::size_t>(v);
+      opts.queue_capacity = static_cast<std::size_t>(*v);
     } else if (std::strncmp(a, "--service-report=", 17) == 0) {
       opts.service_report = a + 17;
     } else if (std::strcmp(a, "--verbose") == 0) {
@@ -165,228 +150,28 @@ std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
     fail(error, "unknown benchmark '" + opts.which + "'");
     return std::nullopt;
   }
-  RunConfig& cfg = opts.cfg;
-  bool saw_msg_flag = false;
-  bool saw_ckpt_every = false;
+  GivenOptions given;
   for (int i = 2; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--class=", 8) == 0) {
-      const auto c = parse_class(a + 8);
-      if (!c) {
-        fail(error, "bad class '" + std::string(a + 8) + "'");
-        return std::nullopt;
-      }
-      cfg.cls = *c;
-    } else if (std::strncmp(a, "--mode=", 7) == 0) {
-      const auto m = parse_mode(a + 7);
-      if (!m) {
-        fail(error, "bad mode '" + std::string(a + 7) +
-                        "' (want native, java, vec or msg)");
-        return std::nullopt;
-      }
-      cfg.mode = *m;
-    } else if (std::strncmp(a, "--procs=", 8) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 8, v) || v < 1 || v > msg::kMaxShmProcs) {
-        fail(error, "bad proc count '" + std::string(a + 8) + "' (want 1.." +
-                        std::to_string(msg::kMaxShmProcs) + ")");
-        return std::nullopt;
-      }
-      cfg.msg.procs = v;
-      saw_msg_flag = true;
-    } else if (std::strncmp(a, "--transport=", 12) == 0) {
-      const auto t = msg::parse_transport(a + 12);
-      if (!t) {
-        fail(error, "bad transport '" + std::string(a + 12) +
-                        "' (want inproc or shm)");
-        return std::nullopt;
-      }
-      cfg.msg.transport = *t;
-      saw_msg_flag = true;
-    } else if (std::strncmp(a, "--runtime=", 10) == 0) {
-      const auto rt = parse_runtime(a + 10);
-      if (!rt) {
-        fail(error, "bad runtime '" + std::string(a + 10) +
-                        "' (want spmd or steal)");
-        return std::nullopt;
-      }
-      cfg.runtime = *rt;
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      if (!parse_flag_int(a + 10, cfg.threads)) {
-        fail(error, "bad thread count '" + std::string(a + 10) +
-                        "' (want a number >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strcmp(a, "--barrier=spin") == 0) {
-      cfg.barrier = BarrierKind::SpinSense;
-    } else if (std::strcmp(a, "--barrier=condvar") == 0) {
-      cfg.barrier = BarrierKind::CondVar;
-    } else if (std::strncmp(a, "--schedule=", 11) == 0) {
-      const auto s = parse_schedule(a + 11);
-      if (!s) {
-        fail(error, "bad schedule '" + std::string(a + 11) + "'");
-        return std::nullopt;
-      }
-      cfg.schedule = *s;
-    } else if (std::strncmp(a, "--fused=", 8) == 0) {
-      if (std::strcmp(a + 8, "on") == 0) {
-        cfg.fused = true;
-      } else if (std::strcmp(a + 8, "off") == 0) {
-        cfg.fused = false;
-      } else {
-        fail(error, "bad fused value '" + std::string(a + 8) +
-                        "' (want on or off)");
-        return std::nullopt;
-      }
-    } else if (std::strncmp(a, "--fault-spec=", 13) == 0) {
-      // One spec, or a comma-separated list (a spec's own grammar is all
-      // colons, so the comma is unambiguous).  Strict: any malformed entry
-      // — including an empty one from a stray comma — rejects the flag.
-      const std::string list(a + 13);
-      std::size_t start = 0;
-      for (;;) {
-        const std::size_t comma = list.find(',', start);
-        const std::string one =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        const auto spec = fault::parse_fault_spec(one);
-        if (!spec) {
-          fail(error,
-               "bad fault spec '" + one +
-                   "'\n(want SITE:KIND:STEP:RANK:SEED[:persist], e.g. "
-                   "region:throw:3:1:0 or barrier:delay(50):*:0:2;\n"
-                   " nan-poison requires site reduce, alloc-fail site alloc, "
-                   "kill site proc,\n corrupt site ckpt or proc; several "
-                   "specs may be comma-separated)");
-          return std::nullopt;
-        }
-        cfg.fault.specs.push_back(*spec);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strncmp(a, "--watchdog-ms=", 14) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 14, v)) {
-        fail(error,
-             "bad watchdog timeout '" + std::string(a + 14) + "' (want ms >= 0)");
-        return std::nullopt;
-      }
-      cfg.fault.watchdog_ms = v;
-    } else if (std::strncmp(a, "--max-retries=", 14) == 0) {
-      if (!parse_flag_int(a + 14, cfg.fault.max_retries)) {
-        fail(error, "bad retry count '" + std::string(a + 14) +
-                        "' (want a number >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strncmp(a, "--backoff-ms=", 13) == 0) {
-      if (!parse_flag_int(a + 13, cfg.fault.backoff_ms)) {
-        fail(error, "bad backoff '" + std::string(a + 13) + "' (want ms >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strcmp(a, "--no-degrade") == 0) {
-      cfg.fault.allow_degraded = false;
-    } else if (std::strncmp(a, "--ckpt-dir=", 11) == 0) {
-      if (a[11] == '\0') {
-        fail(error, "--ckpt-dir needs a directory path");
-        return std::nullopt;
-      }
-      cfg.ckpt.dir = a + 11;
-    } else if (std::strncmp(a, "--ckpt-every=", 13) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 13, v) || v < 1) {
-        fail(error, "bad checkpoint cadence '" + std::string(a + 13) +
-                        "' (want a step count >= 1)");
-        return std::nullopt;
-      }
-      cfg.ckpt.every = v;
-      saw_ckpt_every = true;
-    } else if (std::strcmp(a, "--resume") == 0) {
-      cfg.ckpt.resume = true;
-    } else if (std::strncmp(a, "--resume=", 9) == 0) {
-      if (a[9] == '\0') {
-        fail(error, "--resume= needs a checkpoint file path (or use bare "
-                    "--resume with --ckpt-dir)");
-        return std::nullopt;
-      }
-      cfg.ckpt.resume = true;
-      cfg.ckpt.resume_path = a + 9;
-    } else if (std::strncmp(a, "--mem-align=", 12) == 0) {
-      const auto al = mem::parse_alignment(a + 12);
-      if (!al) {
-        fail(error, "bad alignment '" + std::string(a + 12) +
-                        "' (want a power of two)");
-        return std::nullopt;
-      }
-      cfg.mem.alignment = *al;
-    } else if (std::strcmp(a, "--first-touch") == 0) {
-      cfg.mem.placement = mem::Placement::FirstTouch;
-    } else if (std::strcmp(a, "--huge-pages") == 0) {
-      cfg.mem.huge_pages = true;
-    } else if (std::strcmp(a, "--warmup") == 0) {
-      cfg.warmup_spins = 1000000;
-    } else if (std::strcmp(a, "--verbose") == 0) {
+    const std::string_view a = argv[i];
+    if (a == "--verbose") {
       opts.verbose = true;
-    } else if (std::strncmp(a, "--obs-report=", 13) == 0) {
-      opts.obs_report = a + 13;
+    } else if (a.starts_with("--obs-report=")) {
+      opts.obs_report = a.substr(13);
+    } else if (const RunOption* row = find_flag(a)) {
+      if (const std::string err = apply_flag(*row, a, opts.cfg); !err.empty()) {
+        fail(error, err);
+        return std::nullopt;
+      }
+      given.push_back(row);
     } else {
       fail(error, "unknown argument '" + std::string(a) + "'");
       return std::nullopt;
     }
   }
-  if (saw_msg_flag && cfg.mode != Mode::Msg) {
-    fail(error, "--procs/--transport require --mode=msg");
+  if (const std::string err = check_run_config(opts.cfg, opts.which, given);
+      !err.empty()) {
+    fail(error, err);
     return std::nullopt;
-  }
-  // The msg drivers dispatch ranks through the Transport layer, which has no
-  // task personality — a steal request there would silently run spmd, so
-  // reject it instead.
-  if (cfg.runtime == Runtime::Steal && cfg.mode == Mode::Msg) {
-    fail(error, "--runtime=steal is incompatible with --mode=msg (the "
-                "message-passing drivers have no task runtime)");
-    return std::nullopt;
-  }
-  if (cfg.mode == Mode::Msg && opts.which != "all" && opts.which != "ALL" &&
-      msg::find_msg_benchmark(opts.which) == nullptr) {
-    fail(error, "benchmark '" + opts.which +
-                    "' has no message-passing driver (msg mode runs EP, CG, "
-                    "FT or IS)");
-    return std::nullopt;
-  }
-  // Durable checkpointing only exists where a StepRunner runs: a threaded
-  // shared-memory NPB.  Reject the silent no-op combinations up front.
-  const bool saw_ckpt =
-      !cfg.ckpt.dir.empty() || cfg.ckpt.resume || saw_ckpt_every;
-  if (saw_ckpt) {
-    if (saw_ckpt_every && cfg.ckpt.dir.empty()) {
-      fail(error, "--ckpt-every requires --ckpt-dir");
-      return std::nullopt;
-    }
-    if (cfg.ckpt.resume && cfg.ckpt.resume_path.empty() &&
-        cfg.ckpt.dir.empty()) {
-      fail(error, "--resume needs --ckpt-dir to locate the checkpoint (or an "
-                  "explicit --resume=PATH)");
-      return std::nullopt;
-    }
-    if (cfg.threads < 1) {
-      fail(error, "checkpointing requires a threaded run (--threads=N with "
-                  "N >= 1); the serial path has no step runner");
-      return std::nullopt;
-    }
-    if (cfg.mode == Mode::Msg) {
-      fail(error, "checkpointing is incompatible with --mode=msg (shards "
-                  "carry their state in per-process memory)");
-      return std::nullopt;
-    }
-    if (find_irr_benchmark(opts.which) != nullptr) {
-      fail(error, "checkpointing is not supported for the irregular "
-                  "workloads (run one of the eight NPBs)");
-      return std::nullopt;
-    }
-    if (cfg.ckpt.resume && (opts.which == "all" || opts.which == "ALL")) {
-      fail(error, "--resume needs a single named benchmark, not 'all' (one "
-                  "checkpoint file describes one run)");
-      return std::nullopt;
-    }
   }
   return opts;
 }

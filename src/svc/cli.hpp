@@ -4,6 +4,7 @@
 // in-process (the fuzz battery in test_cli feeds it random malformed flags
 // and asserts it always rejects with a message, never crashes, and never
 // returns a half-parsed config).  npbrun's main() is a thin shell over this.
+// The run flags are the rows of the run-option table (svc/options.hpp).
 
 #include <optional>
 #include <string>

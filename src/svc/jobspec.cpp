@@ -1,200 +1,86 @@
 #include "svc/jobspec.hpp"
 
-#include "common/classes.hpp"
-#include "common/mode.hpp"
-#include "fault/options.hpp"
 #include "irr/irr.hpp"
-#include "mem/mem.hpp"
 #include "npb/registry.hpp"
-#include "par/schedule.hpp"
+#include "svc/options.hpp"
 
 namespace npb::svc {
 namespace {
 
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
+/// Applies one job key's value through its row: checks the JSON type the
+/// row names, then hands apply() the value's text form.  Returns "" or a
+/// message naming the key.
+std::string apply_key(const RunOption& row, const json::Value& v,
+                      RunConfig& cfg) {
+  const std::string key = "key \"" + std::string(row.key) + "\"";
+  const auto apply = [&](std::string_view text) {
+    const std::string err = row.apply(cfg, text);
+    return err.empty() ? err : key + ": " + err;
+  };
+  switch (row.type) {
+    case JsonType::String:
+      if (!v.is_string()) return key + " must be a string";
+      return apply(v.as_string());
+    case JsonType::Integer:
+      if (!v.is_int()) return key + " must be an integer";
+      return apply(std::to_string(v.as_int()));
+    case JsonType::OnOff:
+      if (!v.is_bool()) return key + " must be a boolean";
+      return apply(v.as_bool() ? "on" : "off");
+    case JsonType::Switch:
+      if (!v.is_bool()) return key + " must be a boolean";
+      return v.as_bool() ? apply("") : std::string();
+    case JsonType::StringList:
+      if (!v.is_array()) return key + " must be an array of strings";
+      for (const json::Value& item : v.items()) {
+        // One value per item: the comma list is the flag's spelling only.
+        if (!item.is_string() || item.as_string().find(',') != std::string::npos)
+          return key + " must be an array of strings, one value each";
+        if (const std::string err = apply(item.as_string()); !err.empty())
+          return err;
+      }
+      return {};
+  }
+  return {};
 }
 
-bool want_string(const json::Value& v, const char* key, std::string* error) {
-  if (v.is_string()) return true;
-  return fail(error, std::string("key \"") + key + "\" must be a string");
-}
-
-bool want_bool(const json::Value& v, const char* key, std::string* error) {
-  if (v.is_bool()) return true;
-  return fail(error, std::string("key \"") + key + "\" must be a boolean");
-}
-
-bool want_count(const json::Value& v, const char* key, std::string* error) {
-  if (v.is_int() && v.as_int() >= 0) return true;
-  return fail(error,
-              std::string("key \"") + key + "\" must be an integer >= 0");
+/// Reads one job object into `spec`; returns "" or what is wrong with it.
+std::string read_job_spec(const json::Value& v, JobSpec& spec) {
+  if (!v.is_object()) return "job spec must be a JSON object";
+  GivenOptions given;
+  for (const auto& [key, val] : v.entries()) {
+    if (key == "id" || key == "benchmark") {
+      if (!val.is_string()) return "key \"" + key + "\" must be a string";
+      (key == "id" ? spec.id : spec.benchmark) = val.as_string();
+    } else if (const RunOption* row = find_key(key)) {
+      if (std::string err = apply_key(*row, val, spec.cfg); !err.empty())
+        return err;
+      given.push_back(row);
+    } else {
+      return "unknown key \"" + key + "\"";
+    }
+  }
+  if (v.find("benchmark") == nullptr)
+    return "missing required key \"benchmark\"";
+  if (find_benchmark(spec.benchmark) == nullptr &&
+      find_irr_benchmark(spec.benchmark) == nullptr)
+    return "unknown benchmark \"" + spec.benchmark + "\"";
+  // The service's own rule: a job runs on pooled threads of this process.
+  if (spec.cfg.mode == Mode::Msg)
+    return "mode \"msg\" is not schedulable as a service job (it forks "
+           "worker processes; run it via npbrun --mode=msg instead)";
+  return check_run_config(spec.cfg, spec.benchmark, given);
 }
 
 }  // namespace
 
 std::optional<JobSpec> parse_job_spec(const json::Value& v,
                                       std::string* error) {
-  if (!v.is_object()) {
-    fail(error, "job spec must be a JSON object");
-    return std::nullopt;
-  }
   JobSpec spec;
-  bool have_benchmark = false;
-  for (const auto& [key, val] : v.entries()) {
-    if (key == "id") {
-      if (!want_string(val, "id", error)) return std::nullopt;
-      spec.id = val.as_string();
-    } else if (key == "benchmark") {
-      if (!want_string(val, "benchmark", error)) return std::nullopt;
-      spec.benchmark = val.as_string();
-      if (find_benchmark(spec.benchmark) == nullptr &&
-          find_irr_benchmark(spec.benchmark) == nullptr) {
-        fail(error, "unknown benchmark \"" + spec.benchmark + "\"");
-        return std::nullopt;
-      }
-      have_benchmark = true;
-    } else if (key == "class") {
-      if (!want_string(val, "class", error)) return std::nullopt;
-      const auto c = parse_class(val.as_string());
-      if (!c) {
-        fail(error, "bad class \"" + val.as_string() + "\"");
-        return std::nullopt;
-      }
-      spec.cfg.cls = *c;
-    } else if (key == "mode") {
-      if (!want_string(val, "mode", error)) return std::nullopt;
-      const auto m = parse_mode(val.as_string());
-      if (!m) {
-        fail(error, "bad mode \"" + val.as_string() +
-                        "\" (want native, java or vec)");
-        return std::nullopt;
-      }
-      if (*m == Mode::Msg) {
-        fail(error,
-             "mode \"msg\" is not schedulable as a service job (it forks "
-             "worker processes; run it via npbrun --mode=msg instead)");
-        return std::nullopt;
-      }
-      spec.cfg.mode = *m;
-    } else if (key == "threads") {
-      if (!want_count(val, "threads", error)) return std::nullopt;
-      spec.cfg.threads = static_cast<int>(val.as_int());
-    } else if (key == "barrier") {
-      if (!want_string(val, "barrier", error)) return std::nullopt;
-      if (val.as_string() == "spin") {
-        spec.cfg.barrier = BarrierKind::SpinSense;
-      } else if (val.as_string() == "condvar") {
-        spec.cfg.barrier = BarrierKind::CondVar;
-      } else {
-        fail(error, "bad barrier \"" + val.as_string() +
-                        "\" (want condvar or spin)");
-        return std::nullopt;
-      }
-    } else if (key == "schedule") {
-      if (!want_string(val, "schedule", error)) return std::nullopt;
-      const auto s = parse_schedule(val.as_string());
-      if (!s) {
-        fail(error, "bad schedule \"" + val.as_string() + "\"");
-        return std::nullopt;
-      }
-      spec.cfg.schedule = *s;
-    } else if (key == "fused") {
-      if (!want_bool(val, "fused", error)) return std::nullopt;
-      spec.cfg.fused = val.as_bool();
-    } else if (key == "align") {
-      if (!want_count(val, "align", error)) return std::nullopt;
-      const auto al = mem::parse_alignment(std::to_string(val.as_int()));
-      if (!al) {
-        fail(error, "bad align (want a power of two)");
-        return std::nullopt;
-      }
-      spec.cfg.mem.alignment = *al;
-    } else if (key == "first_touch") {
-      if (!want_bool(val, "first_touch", error)) return std::nullopt;
-      spec.cfg.mem.placement = val.as_bool() ? mem::Placement::FirstTouch
-                                             : mem::Placement::Serial;
-    } else if (key == "huge_pages") {
-      if (!want_bool(val, "huge_pages", error)) return std::nullopt;
-      spec.cfg.mem.huge_pages = val.as_bool();
-    } else if (key == "faults") {
-      if (!val.is_array()) {
-        fail(error, "key \"faults\" must be an array of spec strings");
-        return std::nullopt;
-      }
-      for (const json::Value& f : val.items()) {
-        if (!f.is_string()) {
-          fail(error, "key \"faults\" must be an array of spec strings");
-          return std::nullopt;
-        }
-        const auto fs = fault::parse_fault_spec(f.as_string());
-        if (!fs) {
-          fail(error, "bad fault spec \"" + f.as_string() + "\"");
-          return std::nullopt;
-        }
-        spec.cfg.fault.specs.push_back(*fs);
-      }
-    } else if (key == "watchdog_ms") {
-      if (!want_count(val, "watchdog_ms", error)) return std::nullopt;
-      spec.cfg.fault.watchdog_ms = static_cast<long>(val.as_int());
-    } else if (key == "max_retries") {
-      if (!want_count(val, "max_retries", error)) return std::nullopt;
-      spec.cfg.fault.max_retries = static_cast<int>(val.as_int());
-    } else if (key == "backoff_ms") {
-      if (!want_count(val, "backoff_ms", error)) return std::nullopt;
-      spec.cfg.fault.backoff_ms = static_cast<int>(val.as_int());
-    } else if (key == "no_degrade") {
-      if (!want_bool(val, "no_degrade", error)) return std::nullopt;
-      spec.cfg.fault.allow_degraded = !val.as_bool();
-    } else if (key == "runtime") {
-      if (!want_string(val, "runtime", error)) return std::nullopt;
-      const auto rt = parse_runtime(val.as_string());
-      if (!rt) {
-        fail(error, "bad runtime \"" + val.as_string() +
-                        "\" (want spmd or steal)");
-        return std::nullopt;
-      }
-      spec.cfg.runtime = *rt;
-    } else if (key == "warmup") {
-      if (!want_bool(val, "warmup", error)) return std::nullopt;
-      spec.cfg.warmup_spins = val.as_bool() ? 1000000 : 0;
-    } else if (key == "ckpt_dir") {
-      if (!want_string(val, "ckpt_dir", error)) return std::nullopt;
-      if (val.as_string().empty()) {
-        fail(error, "key \"ckpt_dir\" must not be empty");
-        return std::nullopt;
-      }
-      spec.cfg.ckpt.dir = val.as_string();
-    } else if (key == "ckpt_every") {
-      if (!val.is_int() || val.as_int() < 1) {
-        fail(error, "key \"ckpt_every\" must be an integer >= 1");
-        return std::nullopt;
-      }
-      spec.cfg.ckpt.every = static_cast<int>(val.as_int());
-    } else if (key == "resume") {
-      if (!want_bool(val, "resume", error)) return std::nullopt;
-      spec.cfg.ckpt.resume = val.as_bool();
-    } else {
-      fail(error, "unknown key \"" + key + "\"");
-      return std::nullopt;
-    }
-  }
-  if (!have_benchmark) {
-    fail(error, "missing required key \"benchmark\"");
-    return std::nullopt;
-  }
-  if (spec.cfg.ckpt.dir.empty() &&
-      (spec.cfg.ckpt.resume || spec.cfg.ckpt.every != 1)) {
-    fail(error, "\"ckpt_every\"/\"resume\" require \"ckpt_dir\"");
-    return std::nullopt;
-  }
-  if (!spec.cfg.ckpt.dir.empty() &&
-      find_irr_benchmark(spec.benchmark) != nullptr) {
-    fail(error, "checkpointing is not supported for the irregular workloads");
-    return std::nullopt;
-  }
-  return spec;
+  const std::string err = read_job_spec(v, spec);
+  if (err.empty()) return spec;
+  if (error != nullptr) *error = err;
+  return std::nullopt;
 }
 
 std::optional<std::vector<JobSpec>> parse_job_stream(const std::string& text,

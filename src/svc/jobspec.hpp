@@ -1,18 +1,15 @@
 #pragma once
 
 // Job requests for the benchmark service: one JSON object per line
-// (newline-delimited JSON), each naming a benchmark plus the same knobs the
-// npbrun flags expose.  Parsing is strict — an unknown key, a wrong type, or
-// an invalid value (bad class, malformed fault spec) is an error naming the
-// offending key, never a silently defaulted job.  Spec schema:
+// (newline-delimited JSON), each naming a benchmark plus the run options
+// npbrun's flags set.  The keys besides "id" and "benchmark" are the job
+// keys of the run-option table (svc/options.hpp), which also names the JSON
+// type each takes; the README's flag table lists them beside their flags.
+// Parsing is strict: an unknown key, a wrong type, an invalid value or a
+// combination npbrun would refuse is an error naming the problem, never a
+// silently defaulted job.  Example:
 //
-//   {"benchmark":"cg","class":"S","threads":2}                    // minimal
-//   {"id":"j7","benchmark":"mg","class":"S","mode":"vec",
-//    "threads":3,"schedule":"guided","fused":true,
-//    "barrier":"spin","align":128,"first_touch":true,
-//    "huge_pages":false,"faults":["region:throw:2:1:0"],
-//    "watchdog_ms":0,"max_retries":3,"backoff_ms":1,
-//    "no_degrade":false}                                          // maximal
+//   {"id":"j7","benchmark":"mg","class":"S","threads":3,"schedule":"guided"}
 //
 // "id" defaults to "job-<line>"; "threads" 0 runs the serial path.
 

@@ -12,15 +12,6 @@
 namespace npb::svc {
 namespace {
 
-/// The TeamOptions a driver will build for this config — must mirror the
-/// construction in every run_* driver exactly, or pooled teams never match
-/// and every job silently falls back to a private team.
-TeamOptions team_options_for(const RunConfig& cfg) {
-  return TeamOptions{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                     cfg.fused,   cfg.fault.watchdog_ms, cfg.mode,
-                     cfg.runtime};
-}
-
 /// Runs the driver under job-local isolation state already bound to the
 /// calling thread.  Fills result/error fields of `out`; returns driver
 /// health (false when it threw).
@@ -103,7 +94,7 @@ void JobScheduler::submit_wait(JobSpec spec) {
 void JobScheduler::runner(JobSpec spec, std::uint64_t seq,
                           double submitted_at) {
   const int width = spec.cfg.threads;
-  const TeamOptions topts = team_options_for(spec.cfg);
+  const TeamOptions topts = team_options(spec.cfg);
 
   std::optional<TeamLease> lease;
   {

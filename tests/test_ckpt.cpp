@@ -364,6 +364,8 @@ TEST(SvcCkpt, JobSpecParsesCkptKeysAndRejectsBadCombos) {
       R"({"benchmark":"CG","ckpt_dir":""})",
       R"({"benchmark":"CG","ckpt_dir":"ck","ckpt_every":0})",
       R"({"benchmark":"SORT","ckpt_dir":"ck"})",
+      R"({"benchmark":"CG","ckpt_dir":"ck"})",
+      R"({"benchmark":"CG","threads":0,"ckpt_dir":"ck","resume":true})",
   };
   for (const char* line : bad) {
     EXPECT_FALSE(svc::parse_job_stream(std::string(line) + "\n", &err)

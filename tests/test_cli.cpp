@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "npb/registry.hpp"
 #include "svc/cli.hpp"
 #include "svc/jobspec.hpp"
+#include "svc/options.hpp"
 
 namespace {
 
@@ -363,6 +366,88 @@ TEST(Cli, MalformedFlagsAreRejectedWithAMessage) {
     EXPECT_FALSE(opts.has_value()) << args[0];
     EXPECT_FALSE(error.empty()) << args[0];
   }
+}
+
+// ---------------------------------------------------------------------------
+// The run-option table behind both front ends
+
+/// One valid, non-default value per row, as npbrun spells it ("" for a bare
+/// switch).  Together they form one coherent run, so every shared row can be
+/// spelled on one command line and in one job line.
+const std::map<std::string_view, std::string> kSampleValues = {
+    {"--class", "W"},
+    {"--mode", "java"},
+    {"--procs", "2"},
+    {"--transport", "shm"},
+    {"--runtime", "steal"},
+    {"--threads", "3"},
+    {"--barrier", "spin"},
+    {"--warmup", ""},
+    {"--schedule", "guided,4"},
+    {"--fused", "off"},
+    {"--mem-align", "128"},
+    {"--first-touch", ""},
+    {"--huge-pages", ""},
+    {"--fault-spec", "region:throw:2:1:0"},
+    {"--watchdog-ms", "50"},
+    {"--max-retries", "2"},
+    {"--backoff-ms", "0"},
+    {"--no-degrade", ""},
+    {"--ckpt-dir", "ck"},
+    {"--ckpt-every", "3"},
+    {"--resume", ""},
+};
+
+Value job_value(const npb::svc::RunOption& row, const std::string& text) {
+  using npb::svc::JsonType;
+  switch (row.type) {
+    case JsonType::String: return text;
+    case JsonType::Integer: return std::stoi(text);
+    case JsonType::OnOff: return text == "on";
+    case JsonType::Switch: return true;
+    case JsonType::StringList: {
+      Value list = Value::array();
+      list.push_back(text);
+      return list;
+    }
+  }
+  return nullptr;
+}
+
+TEST(RunOptions, FlagAndJobKeySpellingsParseToTheSameConfig) {
+  std::vector<std::string> args{"CG"};
+  Value job = Value::object();
+  job["benchmark"] = "CG";
+  std::set<std::string_view> flags;
+  std::set<std::string_view> keys;
+  for (const npb::svc::RunOption& row : npb::svc::run_options()) {
+    EXPECT_TRUE(flags.insert(row.flag).second) << row.flag;
+    const auto sample = kSampleValues.find(row.flag);
+    ASSERT_NE(sample, kSampleValues.end()) << row.flag << " has no sample";
+    // The sample must move the config, or equal configs would prove nothing.
+    npb::RunConfig alone;
+    EXPECT_EQ(row.apply(alone, sample->second), "") << row.flag;
+    EXPECT_FALSE(alone == npb::RunConfig{}) << row.flag;
+    if (row.key.empty()) continue;  // npbrun-only: --procs, --transport
+    EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+    args.push_back(std::string(row.flag) +
+                   (sample->second.empty() ? "" : "=" + sample->second));
+    job[std::string(row.key)] = job_value(row, sample->second);
+  }
+
+  std::string error;
+  const auto opts = parse_args(args, &error);
+  ASSERT_TRUE(opts.has_value()) << error;
+  const auto specs = parse_job_stream(job.dump(), &error);
+  ASSERT_TRUE(specs.has_value()) << job.dump() << " -> " << error;
+  ASSERT_EQ(specs->size(), 1u);
+  EXPECT_TRUE(opts->cfg == (*specs)[0].cfg) << job.dump();
+}
+
+TEST(RunOptions, UsageTextNamesEveryFlag) {
+  const std::string usage = npb::svc::usage_text();
+  for (const npb::svc::RunOption& row : npb::svc::run_options())
+    EXPECT_NE(usage.find(row.flag), std::string::npos) << row.flag;
 }
 
 // The fuzz battery: deterministic PRNG, no time or global entropy, so a

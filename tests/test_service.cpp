@@ -16,14 +16,37 @@
 // epsilon is the documented promise for that case (its deterministic
 // degradation is additionally pinned by comparing degraded_width).
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
+#include "irr/irr.hpp"
+#include "npb/registry.hpp"
 #include "obs/obs.hpp"
 #include "svc/scheduler.hpp"
 #include "tolerance.hpp"
+
+namespace {
+
+/// Threads this process has created, so a test can tell a driver that rode
+/// a pooled team (no new threads) from one that built a private team.
+std::atomic<int> g_threads_created{0};
+
+}  // namespace
+
+extern "C" int pthread_create(pthread_t* thread, const pthread_attr_t* attr,
+                              void* (*start)(void*), void* arg) noexcept {
+  using Create = int (*)(pthread_t*, const pthread_attr_t*, void* (*)(void*),
+                         void*);
+  static const auto next =
+      reinterpret_cast<Create>(dlsym(RTLD_NEXT, "pthread_create"));
+  g_threads_created.fetch_add(1, std::memory_order_relaxed);
+  return next(thread, attr, start, arg);
+}
 
 namespace {
 
@@ -153,6 +176,39 @@ TEST(ServiceDifferential, ConcurrentMatrixMatchesSequential) {
   EXPECT_EQ(stats.jobs_degraded, 1u);
 }
 
+// The pool builds a leased team from team_options(cfg), and a driver borrows
+// it only when its own request matches exactly (TeamRef); a driver that asks
+// for anything else builds a private team and leaves the lease idle.
+TEST(ServicePool, EveryDriverBorrowsATeamBuiltFromItsConfig) {
+  std::vector<npb::BenchmarkInfo> drivers = npb::suite();
+  drivers.insert(drivers.end(), npb::irr_suite().begin(),
+                 npb::irr_suite().end());
+  // The counter sees thread creation at all: without a lease, the driver's
+  // private team starts one thread per worker.
+  npb::RunConfig unleased;
+  unleased.threads = 2;
+  const int at_start = g_threads_created.load();
+  EXPECT_TRUE(npb::find_benchmark("CG")(unleased).verified);
+  ASSERT_EQ(g_threads_created.load() - at_start, unleased.threads);
+
+  for (const npb::BenchmarkInfo& b : drivers) {
+    for (const npb::Schedule sched : {kStatic, kDynamic}) {
+      npb::RunConfig cfg;
+      cfg.cls = npb::ProblemClass::S;
+      cfg.threads = 2;
+      cfg.schedule = sched;
+      npb::WorkerTeam pooled(cfg.threads, npb::team_options(cfg));
+      cfg.team = &pooled;
+      const int before = g_threads_created.load();
+      const npb::RunResult r = b.fn(cfg);
+      EXPECT_TRUE(r.verified) << b.name;
+      EXPECT_EQ(g_threads_created.load() - before, 0)
+          << b.name << " built a private team under schedule "
+          << npb::to_string(sched);
+    }
+  }
+}
+
 TEST(ServiceProperties, NoWidthOversubscription) {
   // Every job's width has a pool entry, so the peak concurrent width must
   // never exceed the pool's total: a lease is the only way onto a team.
@@ -256,13 +312,17 @@ TEST(ServiceProperties, CleanDrainOnShutdownAndObsRestore) {
     JobScheduler scheduler;
     // Global obs recording is suspended while a scheduler exists (its cells
     // are process-global and two teams' rank-r threads would race).
+#ifndef NPB_OBS_DISABLED
     EXPECT_FALSE(npb::obs::ObsRegistry::instance().enabled());
+#endif
     scheduler.submit_wait(make_spec("s1", "IS", 2));
     scheduler.submit_wait(make_spec("s2", "EP", 1));
     // No drain(): the destructor must finish both jobs, join the runner
     // threads, and restore obs recording.
   }
+#ifndef NPB_OBS_DISABLED
   EXPECT_TRUE(npb::obs::ObsRegistry::instance().enabled());
+#endif
 }
 
 TEST(ServiceProperties, SchedulerReusableAfterDrain) {

@@ -283,6 +283,7 @@ TEST(Granularity, RangesLeavesAreGrainAlignedChunks) {
   }
 }
 
+#ifndef NPB_OBS_DISABLED
 TEST(TaskScope, StealCountersLandInTheObsSnapshot) {
   auto& reg = obs::ObsRegistry::instance();
   reg.reset();
@@ -318,6 +319,7 @@ TEST(TaskScope, StealCountersLandInTheObsSnapshot) {
   // Slot 0 is the serial path; thief ranks occupy slots rank+1.
   ASSERT_GE(snap.slots(obs::counter_id("steal/attempts")).value.size(), 2u);
 }
+#endif
 
 // ---- irregular workloads: invariant matrix --------------------------------
 
