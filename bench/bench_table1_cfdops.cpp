@@ -9,11 +9,12 @@
 // Flags: --threads=0,1,2,...   --reps=N   (grid fixed at the paper's size)
 
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "cfdops/cfdops.hpp"
 #include "common/table.hpp"
+#include "svc/options.hpp"
 
 namespace {
 
@@ -24,12 +25,22 @@ constexpr npb::CfdOp kOps[] = {npb::CfdOp::Assignment, npb::CfdOp::FirstOrderSte
 }  // namespace
 
 int main(int argc, char** argv) {
+  // --reps=N is this bench's own flag: take it out of argv before the shared
+  // parser sees it, and report a bad value and ignore it like the others.
+  int reps = 10;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--reps="))
+      argv[kept++] = argv[i];
+    else if (const auto n = npb::svc::parse_count(arg.substr(7)); n && *n > 0)
+      reps = *n;
+    else
+      std::fprintf(stderr, "ignoring %s: expected a positive count\n", argv[i]);
+  }
   npb::benchutil::Args defaults;
   defaults.threads = {0, 1, 2, 4};
-  npb::benchutil::Args args = npb::benchutil::parse(argc, argv, defaults);
-  int reps = 10;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) reps = std::atoi(argv[i] + 7);
+  npb::benchutil::Args args = npb::benchutil::parse(kept, argv, defaults);
 
   npb::Table t(
       "Table 1. Execution times in seconds of the basic CFD operations\n"

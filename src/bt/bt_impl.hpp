@@ -298,12 +298,8 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   // One ADI time step is the retry unit.  The only state a step carries
   // into the next one is u (phi, forcing and ue are init-time constants and
   // rhs is rebuilt from u each step), so the checkpoint is just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  fault::StepRunner steps(team, topts);
+  steps.add(f.u.data(), f.u.size() * sizeof(double));
 
   const double t0 = wtime();
   for (int it = 0; it < prm.iterations; ++it) {
@@ -332,7 +328,7 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
       }
       continue;
     }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
+    steps.step(it, [&](WorkerTeam& tm, int nt) {
       if (topts.fused) {
         // Fused: one team dispatch per time step.  All five ADI phases run
         // resident inside one SPMD region, separated by in-region barriers;

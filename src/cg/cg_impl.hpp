@@ -456,12 +456,11 @@ CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
     // spans and their accumulation happens inside the step body, so a
     // retried step rolls them back (no double-count) and a durable resume
     // restores them alongside x.
-    fault::Checkpoint ckpt;
-    ckpt.add(x.data(), x.size() * sizeof(double));
-    ckpt.add(&sc, sizeof sc);
-    ckpt.add(&zeta, sizeof zeta);
-    ckpt.add(&out.zeta_sum, sizeof out.zeta_sum);
-    fault::StepRunner steps(**team_storage, topts, ckpt);
+    fault::StepRunner steps(team_storage->get(), topts);
+    steps.add(x.data(), x.size() * sizeof(double));
+    steps.add(&sc, sizeof sc);
+    steps.add(&zeta, sizeof zeta);
+    steps.add(&out.zeta_sum, sizeof out.zeta_sum);
     const auto healthy = [&] { return sc.healthy(); };
     for (int outer = 1; outer <= p.niter; ++outer) {
       if (topts.fused) {

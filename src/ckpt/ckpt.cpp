@@ -5,6 +5,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <iterator>
@@ -61,6 +62,20 @@ struct Reader {
   }
 };
 
+/// Reads up to `n` bytes, stopping early only at end of file; -1 on error.
+ssize_t read_upto(int fd, void* dst, std::size_t n) {
+  auto* p = static_cast<unsigned char*>(dst);
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::read(fd, p + done, n - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return -1;
+    if (got == 0) break;
+    done += static_cast<std::size_t>(got);
+  }
+  return static_cast<ssize_t>(done);
+}
+
 /// Reads the whole file into one buffer sized from fstat.  A file that is
 /// shorter than fstat said by the time it is read comes back short, and
 /// decode() rejects it as truncated.
@@ -78,19 +93,41 @@ std::vector<unsigned char> read_file(const std::string& path) {
   struct stat st {};
   if (::fstat(fd, &st) != 0) fail("cannot stat");
   std::vector<unsigned char> bytes(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("error reading");
-    }
-    if (n == 0) break;
-    done += static_cast<std::size_t>(n);
-  }
+  const ssize_t got = read_upto(fd, bytes.data(), bytes.size());
+  if (got < 0) fail("error reading");
   ::close(fd);
-  bytes.resize(done);
+  bytes.resize(static_cast<std::size_t>(got));
   return bytes;
+}
+
+/// The readback gate before a commit: the file at `path` must hold exactly
+/// `header`, a payload whose CRC32C equals `trailer`, that trailer, and
+/// nothing more.  Checked in fixed chunks, so no buffer the size of the
+/// image is ever held.
+bool file_matches(const std::string& path,
+                  const std::vector<unsigned char>& header,
+                  std::size_t payload_bytes, std::uint32_t trailer) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  std::vector<unsigned char> buf(
+      std::max<std::size_t>(header.size(), 1 << 16));
+  const auto read_exact = [&](void* dst, std::size_t n) {
+    return read_upto(fd, dst, n) == static_cast<ssize_t>(n);
+  };
+  bool ok = read_exact(buf.data(), header.size()) &&
+            std::memcmp(buf.data(), header.data(), header.size()) == 0;
+  std::uint32_t crc = 0;
+  for (std::size_t left = payload_bytes; ok && left > 0;) {
+    const std::size_t n = std::min(left, buf.size());
+    ok = read_exact(buf.data(), n);
+    crc = crc::crc32c(buf.data(), n, crc);
+    left -= n;
+  }
+  std::uint32_t stored = 0;
+  ok = ok && crc == trailer && read_exact(&stored, sizeof stored) &&
+       stored == trailer && read_upto(fd, buf.data(), 1) == 0;
+  ::close(fd);
+  return ok;
 }
 
 void write_all(int fd, const std::string& path, const void* data,
@@ -109,9 +146,11 @@ void write_all(int fd, const std::string& path, const void* data,
 }
 
 /// The image ahead of the payload: magic, version, identity, step, span
-/// byte table and the header CRC over all of it.
+/// byte table and the header CRC over all of it.  `Span` is SpanView or
+/// MutSpanView.
+template <class Span>
 std::vector<unsigned char> encode_header(const Meta& meta, long step,
-                                         const std::vector<SpanView>& spans) {
+                                         const std::vector<Span>& spans) {
   std::vector<unsigned char> out(std::begin(kMagic), std::end(kMagic));
   out.reserve(64 + meta.benchmark.size() + 8 * spans.size());
   put<std::uint32_t>(out, kFormatVersion);
@@ -124,16 +163,17 @@ std::vector<unsigned char> encode_header(const Meta& meta, long step,
   put<std::int32_t>(out, meta.threads);
   put<std::int64_t>(out, static_cast<std::int64_t>(step));
   put<std::uint32_t>(out, static_cast<std::uint32_t>(spans.size()));
-  for (const SpanView& s : spans)
+  for (const Span& s : spans)
     put<std::uint64_t>(out, static_cast<std::uint64_t>(s.bytes));
   put<std::uint32_t>(out, crc::crc32c(out.data(), out.size()));
   return out;
 }
 
 /// CRC32C over the spans back to back: the trailer after the payload.
-std::uint32_t payload_crc(const std::vector<SpanView>& spans) {
+template <class Span>
+std::uint32_t payload_crc(const std::vector<Span>& spans) {
   std::uint32_t sum = 0;
-  for (const SpanView& s : spans) sum = crc::crc32c(s.data, s.bytes, sum);
+  for (const Span& s : spans) sum = crc::crc32c(s.data, s.bytes, sum);
   return sum;
 }
 
@@ -277,24 +317,18 @@ Session::Session(Meta meta, const CkptOptions& opts)
     load_path_ = opts_.resume_path.empty() ? save_path_ : opts_.resume_path;
     if (load_path_.empty())
       throw CkptError("--resume needs --ckpt-dir or an explicit path");
-    resume_pending_ = true;
   }
 }
 
-long Session::consume_resume(const std::vector<MutSpanView>& spans) {
-  if (!resume_pending_)
-    throw CkptError("no resume pending on this checkpoint session");
-  resume_pending_ = false;
-  const std::vector<unsigned char> bytes = read_file(load_path_);
-  const long step = decode(bytes, meta_, &spans);
+long Session::load(const std::vector<MutSpanView>& spans) {
+  const long step = decode(read_file(load_path_), meta_, &spans);
   obs::ObsRegistry::instance().record(obs::counter_id("ckpt/restored"), -1,
                                       static_cast<double>(step));
   return step;
 }
 
-bool Session::flush(long step, const std::vector<SpanView>& spans,
-                    bool inject_corrupt) {
-  if (!can_save()) return true;
+bool Session::commit(long step, const std::vector<MutSpanView>& spans,
+                     bool inject_corrupt) {
   // The same bytes as encode(), streamed: header, the live spans, then the
   // payload CRC, with no staged copy of the payload.
   const std::vector<unsigned char> header = encode_header(meta_, step, spans);
@@ -305,10 +339,10 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
   if (fd < 0)
     throw CkptError("cannot create checkpoint temp file '" + tmp +
                     "': " + std::strerror(errno));
+  std::size_t payload_bytes = 0;
   try {
     write_all(fd, tmp, header.data(), header.size());
-    std::size_t payload_bytes = 0;
-    for (const SpanView& s : spans) {
+    for (const MutSpanView& s : spans) {
       write_all(fd, tmp, s.data, s.bytes);
       payload_bytes += s.bytes;
     }
@@ -319,7 +353,7 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
       // and commit looks like.  The live spans are only read.  The
       // readback verification below must catch it.
       std::size_t at = payload_bytes / 2;
-      const SpanView* hit = spans.data();
+      const MutSpanView* hit = spans.data();
       while (at >= hit->bytes) at -= (hit++)->bytes;
       const auto flipped = static_cast<unsigned char>(
           static_cast<const unsigned char*>(hit->data)[at] ^ 0x10);
@@ -344,9 +378,7 @@ bool Session::flush(long step, const std::vector<SpanView>& spans,
 
   // Readback verification before the rename: the previous good checkpoint
   // is only replaced by a file that re-validates end to end.
-  try {
-    decode(read_file(tmp), meta_, nullptr);
-  } catch (const CkptError&) {
+  if (!file_matches(tmp, header, payload_bytes, trailer)) {
     ::unlink(tmp.c_str());
     obs::ObsRegistry::instance().record(obs::counter_id("ckpt/crc_fail"), -1,
                                         1.0);

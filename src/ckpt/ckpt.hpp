@@ -1,33 +1,31 @@
 #pragma once
 
 // Durable checkpoint/restart — the crash-consistent half of the recovery
-// story.  The in-memory fault::Checkpoint already makes a time step the
-// retry unit while the process survives; this layer gives that same span
-// set a serialized on-disk form so a SIGKILLed npbrun (or a crashed service
-// job) resumes from the last completed step instead of losing the run:
+// story.  fault::StepRunner makes a time step the retry unit while the
+// process survives; this layer gives the runner's registered spans an
+// on-disk form so a SIGKILLed npbrun (or a crashed service job) resumes from
+// the last completed step instead of losing the run:
 //
 //   header   magic "NPBCKPT1", format version, benchmark name, problem
 //            class, mode, runtime, team width, step number, per-span byte
 //            table, CRC32C over the whole header
 //   payload  the registered spans back to back, CRC32C over all of them
 //
-// Writes are atomic and verified: serialize to `<file>.tmp`, fsync, read
-// the temp file back and re-validate every CRC, then rename over the final
-// path and fsync the directory.  A readback whose CRC fails (the ckpt:
-// corrupt fault's choke point, or a real medium error) discards the temp
-// file and keeps the previous good checkpoint — a corrupted flush is a
-// *failed step* that the StepRunner retries, never a poisoned resume
-// source.  Resume validates magic, version, header CRC, every metadata
-// field and the span layout against the running configuration, then the
-// payload CRC, before a single byte lands in a live array; any mismatch is
-// a CkptError naming the offending field.
+// Writes are atomic and verified: stream the image to `<file>.tmp`, fsync,
+// re-read it in chunks (the header as written, a payload whose CRC equals
+// the trailer, the exact length), rename over the final path, fsync the
+// directory.  A failed readback (the ckpt:corrupt fault's choke point, or a
+// real medium error) discards the temp file and keeps the previous good
+// checkpoint, so a corrupted write never becomes a resume source.  Resume
+// validates magic, version, header CRC, every metadata field and the span
+// layout against the running configuration, then the payload CRC, before a
+// single byte lands in a live array; any mismatch is a CkptError naming the
+// offending field.
 //
-// A Session is installed per benchmark run (ScopedCkptSession in the driver
-// wrappers, carried in a threadctx slot like the fault injector) and
-// consumed by fault::StepRunner: flush after every `--ckpt-every` completed
-// steps, skip steps up to the restored one after `--resume`, and convert a
-// SIGINT/SIGTERM (ckpt::request_interrupt) into a final flush plus a thrown
-// ckpt::Interrupted so the CLI can exit resumable.
+// A Session is one run's file: its directory and paths, commit() and
+// load().  ScopedCkptSession installs it in a threadctx slot (like the fault
+// injector) in the driver wrapper, and the driver's fault::StepRunner reads
+// its options and decides when to load, commit and stop.
 //
 // Layering: depends on common (crc32c, threadctx) and obs only; the fault
 // layer links against it.
@@ -109,12 +107,12 @@ std::vector<unsigned char> encode(const Meta& meta, long step,
 /// Validates a byte image end to end against `expected` and the span
 /// layout, throwing CkptError on the first mismatch; on success returns the
 /// recorded step and, when `restore` is non-null, copies the payload into
-/// the spans.  `restore` null is the readback-verification mode.
+/// the spans.  `restore` null only validates.
 long decode(const std::vector<unsigned char>& bytes, const Meta& expected,
             const std::vector<MutSpanView>* restore);
 
-/// One benchmark run's durable checkpoint state: the bound Meta, the file
-/// path, the flush cadence, and the not-yet-consumed resume request.
+/// The checkpoint file of one benchmark run: the bound Meta, the options
+/// it was opened with and the paths they name.  It decides nothing.
 class Session {
  public:
   /// `opts.active()` must hold.  The save path is `<dir>/<bench>-<cls>.ckpt`
@@ -125,40 +123,32 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  const Meta& meta() const noexcept { return meta_; }
+  const CkptOptions& options() const noexcept { return opts_; }
   /// Empty when the session is resume-only (no directory configured).
   const std::string& save_path() const noexcept { return save_path_; }
+  /// Empty unless the options ask to resume.
   const std::string& load_path() const noexcept { return load_path_; }
-  bool resume_pending() const noexcept { return resume_pending_; }
-  bool can_save() const noexcept { return !save_path_.empty(); }
-  long halt_after_step() const noexcept { return opts_.halt_after_step; }
-  bool should_flush(long step) const noexcept {
-    return can_save() && opts_.every > 0 &&
-           step % static_cast<long>(opts_.every) == 0;
-  }
 
-  /// Loads, validates and restores the pending resume checkpoint into
+  /// Reads, validates and restores the checkpoint at load_path() into
   /// `spans`; records ckpt/restored and returns the restored step.  Throws
-  /// CkptError on any validation failure (and when nothing is pending).
-  long consume_resume(const std::vector<MutSpanView>& spans);
+  /// CkptError on any validation failure.
+  long load(const std::vector<MutSpanView>& spans);
 
-  /// Durably commits a checkpoint of `spans` at `step`: temp file, fsync,
-  /// readback CRC verification, atomic rename, directory fsync.  Records
-  /// ckpt/saved and returns true on commit; a readback whose validation
-  /// fails (bit rot, or `inject_corrupt` — the ckpt:corrupt fault flips one
-  /// payload bit after the CRCs are computed) discards the temp file,
-  /// records ckpt/crc_fail and returns false, keeping the last good
-  /// checkpoint.  Environmental failures (unwritable directory) throw
-  /// CkptError.
-  bool flush(long step, const std::vector<SpanView>& spans,
-             bool inject_corrupt);
+  /// Durably commits `spans` (only read) at `step` to save_path(): temp
+  /// file, fsync, chunked readback, atomic rename, directory fsync.  Records
+  /// ckpt/saved and returns true on commit; a failed readback (bit rot, or
+  /// `inject_corrupt` — the ckpt:corrupt fault flips one payload bit in the
+  /// file after the CRCs are computed) discards the temp file, records
+  /// ckpt/crc_fail and returns false, keeping the last good checkpoint.
+  /// Environmental failures (an unwritable directory) throw CkptError.
+  bool commit(long step, const std::vector<MutSpanView>& spans,
+              bool inject_corrupt);
 
  private:
   Meta meta_;
   CkptOptions opts_;
   std::string save_path_;
   std::string load_path_;
-  bool resume_pending_ = false;
 };
 
 /// The session governing the calling thread (installed by ScopedCkptSession,
@@ -178,10 +168,9 @@ class ScopedCkptSession {
     threadctx::Slots next = threadctx::current();
     next.ckpt_session = session_;
     prev_ = threadctx::exchange(next);
-    installed_ = true;
   }
   ~ScopedCkptSession() {
-    if (installed_) threadctx::exchange(prev_);
+    if (session_ != nullptr) threadctx::exchange(prev_);
     delete session_;
   }
 
@@ -191,7 +180,6 @@ class ScopedCkptSession {
  private:
   Session* session_ = nullptr;
   threadctx::Slots prev_{};
-  bool installed_ = false;
 };
 
 }  // namespace npb::ckpt

@@ -4,10 +4,11 @@
 // dependencies beyond the standard library, mirroring fault/options.hpp, so
 // npb/run.hpp can embed CkptOptions without pulling the ckpt runtime in.
 //
-// Checkpointing engages the StepRunner slow path only when a directory (or
-// an explicit resume file) is configured — an empty CkptOptions costs the
-// hot loop nothing.  Serial runs (threads == 0) never enter a StepRunner,
-// so the CLI rejects checkpoint flags there rather than silently no-opping.
+// fault::StepRunner reads these options and decides when to load, flush and
+// stop; they never make it shadow-copy the carried state, and an empty
+// CkptOptions costs the hot loop nothing.  Serial runs (threads == 0) never
+// step a StepRunner, so the CLI rejects checkpoint flags there rather than
+// silently no-opping.
 
 #include <limits>
 #include <string>
@@ -23,7 +24,8 @@ struct CkptOptions {
   /// per (benchmark, class): `<dir>/<benchmark>-<class>.ckpt`.
   std::string dir;
   /// Flush cadence: a durable checkpoint is committed after every N-th
-  /// completed step (and always on interrupt).  Must be >= 1.
+  /// completed step (and always at the step an interrupt or
+  /// halt_after_step stops the run).  Must be >= 1.
   int every = 1;
   /// Consume a checkpoint before the first step: validate header + CRC,
   /// restore the carried spans, and skip every step up to the recorded one.

@@ -28,7 +28,9 @@ namespace npb::threadctx {
 struct Slots {
   const void* mem_context = nullptr;  ///< npb::mem::detail::Context
   void* fault_injector = nullptr;     ///< npb::fault::Injector
-  void* ckpt_session = nullptr;       ///< npb::ckpt::Session
+  /// npb::ckpt::Session: the run's checkpoint file, whose options the
+  /// driver's fault::StepRunner reads to make every checkpoint decision.
+  void* ckpt_session = nullptr;
 };
 
 namespace detail {

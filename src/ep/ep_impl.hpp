@@ -118,12 +118,11 @@ EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
     // running, and the deterministic combine happens at the end of the step
     // body — registered as checkpoint spans so a retry rolls the combine
     // back and a durable resume restores the finished totals.
-    fault::Checkpoint ckpt;
-    ckpt.add(&out.sx, sizeof out.sx);
-    ckpt.add(&out.sy, sizeof out.sy);
-    ckpt.add(&out.accepted, sizeof out.accepted);
-    ckpt.add(out.q.data(), out.q.size() * sizeof(double));
-    fault::StepRunner steps(base_team, topts, ckpt);
+    fault::StepRunner steps(&base_team, topts);
+    steps.add(&out.sx, sizeof out.sx);
+    steps.add(&out.sy, sizeof out.sy);
+    steps.add(&out.accepted, sizeof out.accepted);
+    steps.add(out.q.data(), out.q.size() * sizeof(double));
     steps.step(1, [&](WorkerTeam& team, int nt) {
       cursor.store(0, std::memory_order_relaxed);
       if (sched.kind == Schedule::Kind::Static) {

@@ -41,9 +41,9 @@
 //   region:throw:4:2:0:persist  rank 2 throws entering step 4, every retry
 //   proc:kill:*:2:0             shard 2's worker process SIGKILLs itself at
 //                               its first proc-site crossing inside a step
-//   ckpt:corrupt:*:0:0          the first durable checkpoint flush commits
-//                               a bit-flipped payload; readback CRC must
-//                               reject it and the step retries
+//   ckpt:corrupt:*:0:0          the first durable checkpoint flush writes
+//                               a bit-flipped payload; the readback CRC
+//                               must reject it and the flush is rewritten
 //   proc:corrupt:*:1:0          shard 1's first shm send of a step carries
 //                               a bit-flipped payload; the receiver's frame
 //                               CRC must blame rank 1
@@ -65,8 +65,8 @@ namespace npb::fault {
 /// pop-empty/steal crossing of a work-stealing scope; throws from inside a
 /// fork2 join are deferred past the join so no stolen frame unwinds early,
 /// and the barrier watchdog still covers a scope whose thieves are stuck),
-/// and the durable checkpoint flush (Ckpt — crossed once per committed
-/// StepRunner flush, the Corrupt kind's in-process choke point).
+/// and the durable checkpoint flush (Ckpt — crossed once per StepRunner
+/// flush attempt, the Corrupt kind's in-process choke point).
 enum class Site { Barrier, Region, Collective, Queue, Reduce, Alloc, Proc, Steal, Ckpt };
 
 enum class Kind { Throw, Delay, NanPoison, AllocFail, Kill, Corrupt };

@@ -1,36 +1,37 @@
 #pragma once
 
-// Step-level checkpoint/retry — the recovery half of the fault subsystem.
-// Every NPB driver advances through discrete time steps whose only mutable
-// state is a handful of arrays (CG: x; MG: u and r at the finest level;
-// BT/SP/LU: the solution field u); everything else is either immutable after
-// setup or recomputed from scratch each step.  That makes a step the natural
-// retry unit:
+// Step state, retry and durable checkpoints: the recovery half of the fault
+// subsystem.  Every NPB driver advances through discrete time steps whose
+// only mutable state is a handful of arrays (CG: x; MG: u and r at the
+// finest level; BT/SP/LU: the solution field u); everything else is either
+// immutable after setup or recomputed from scratch each step.  That makes a
+// step the retry unit, and the StepRunner owns its state:
 //
-//   fault::Checkpoint ckpt;
-//   ckpt.add(x.data(), x.size() * sizeof(double));
-//   fault::StepRunner steps(team, topts, ckpt);
+//   fault::StepRunner steps(team, topts);  // team may be null (serial)
+//   steps.add(x.data(), x.size() * sizeof(double));
 //   for (int it = 1; it <= niter; ++it)
 //     steps.step(it, [&](WorkerTeam& tm, int nt) { ...one time step... });
 //
-// step() is a straight pass-through when no fault session is armed (no save,
-// no gating, no extra branches in the hot loop beyond one relaxed load).
-// Under an armed session it snapshots the registered spans, opens the
-// injection window (Injector::set_step), runs the body, and on failure —
-// InjectedFault, RegionAborted (a watchdog escalation), or bad_alloc —
-// restores the snapshot and retries with linear backoff, up to the session's
-// --max-retries.  Shadow buffers come from mem::acquire once and are reused,
-// and the arenas' shape-reuse pooling means a restored step re-acquires its
-// scratch from the pool, so retries are allocation-free after the first
-// attempt.
+// With no fault session armed, no watchdog and no durable session, step()
+// runs the body and polls the interrupt flag, nothing more.  Only a step
+// that can fail and be rolled back (an armed injector, or a watchdog) copies
+// the spans into CRC32C-stamped shadows (from mem::acquire once, then
+// reused), opens the injection window (Injector::set_step) and, on
+// InjectedFault, RegionAborted (a watchdog escalation), bad_alloc or an
+// unhealthy result, restores them and retries with linear backoff up to
+// --max-retries.
 //
-// The same registered spans double as the durable checkpoint's payload:
-// when a ckpt::ScopedCkptSession is installed (--ckpt-dir/--resume),
-// StepRunner flushes them to disk every --ckpt-every steps through the
-// session (CRC32C-framed, fsynced, atomically renamed), skips steps a
-// resumed checkpoint already covers, and honours SIGINT/SIGTERM and the
-// session's halt-after-step knob by taking a final flush and throwing
-// ckpt::Interrupted.
+// Under a ckpt::ScopedCkptSession (--ckpt-dir/--resume) the spans are the
+// checkpoint payload; the session hides the file and the runner decides
+// everything else.  It loads the --resume file once, at the first step
+// (after setup has shaped every span), and skips the steps it covers.  One
+// flush follows every --ckpt-every-th step and the step at which
+// halt_after_step or a SIGINT/SIGTERM stops the run with ckpt::Interrupted.
+// The flush runs inside the injection window, where a ckpt:corrupt spec
+// decides whether the write is bit-flipped, and only reads the live spans;
+// so a write whose readback fails needs no rollback and is rewritten from
+// them, each attempt counted in fault/retries, up to --max-retries, then
+// RecoveryExhausted.  A bad write never shrinks the team.
 //
 // When one width keeps failing (a :persist spec pinned to a rank — the model
 // of a deterministically bad CPU), StepRunner degrades: it shrinks the team
@@ -72,117 +73,85 @@ class RecoveryExhausted : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// The set of memory spans that make up one step's restartable state.
-/// Register each mutable array once before the step loop; save()/restore()
-/// memcpy them against lazily-acquired shadow buffers.  Registration order is
-/// restoration order.  Spans must outlive the Checkpoint; the shadows are
-/// released in the destructor (so a Checkpoint must not outlive the arena its
-/// shadows were acquired from — in practice it is a stack local of the same
-/// scope that owns the arrays).
-class Checkpoint {
+/// Runs time steps with retry/degradation under an armed fault session and
+/// durable checkpoints under an installed ckpt session.  One StepRunner per
+/// benchmark run, a stack local of the scope that owns the registered arrays
+/// and their arena; bodies are `body(WorkerTeam& tm, int nt)` and must
+/// derive every partition from (tm, nt) rather than the original thread
+/// count, so a degraded re-run re-partitions cleanly.
+class StepRunner {
  public:
-  Checkpoint() = default;
-  ~Checkpoint() {
-    for (Span& s : spans_) mem::release(s.shadow);
+  /// `team` is the full-width team, or null for a serial run (which may
+  /// register spans but never steps); `topts` are its options (reused
+  /// verbatim for degraded teams, watchdog included).  A durable
+  /// ckpt::Session installed on the constructing thread is picked up here.
+  StepRunner(WorkerTeam* team, const TeamOptions& topts)
+      : base_(team),
+        topts_(topts),
+        width_(team != nullptr ? team->size() : 0),
+        session_(ckpt::current()),
+        durable_(session_ != nullptr ? session_->options()
+                                     : ckpt::CkptOptions{}) {}
+
+  ~StepRunner() {
+    for (Shadow& s : shadows_) mem::release(s.copy);
   }
 
-  Checkpoint(const Checkpoint&) = delete;
-  Checkpoint& operator=(const Checkpoint&) = delete;
+  StepRunner(const StepRunner&) = delete;
+  StepRunner& operator=(const StepRunner&) = delete;
 
-  /// Registers `bytes` of mutable state at `p`.  No-op span when empty.
+  /// Registers `bytes` of carried state at `p`, before the first step.
+  /// Registration order is restore order and checkpoint-file order; a null
+  /// or empty span is ignored.
   void add(void* p, std::size_t bytes) {
-    if (p == nullptr || bytes == 0) return;
-    spans_.push_back(Span{p, bytes, {}});
+    if (p != nullptr && bytes > 0) spans_.push_back({p, bytes});
   }
 
   std::size_t spans() const noexcept { return spans_.size(); }
   std::size_t bytes() const noexcept {
     std::size_t total = 0;
-    for (const Span& s : spans_) total += s.bytes;
+    for (const ckpt::MutSpanView& s : spans_) total += s.bytes;
     return total;
   }
 
-  /// The spans as read-only views in registration order — exactly what a
-  /// durable ckpt::Session::flush serializes.
-  std::vector<ckpt::SpanView> views() const {
-    std::vector<ckpt::SpanView> v;
-    v.reserve(spans_.size());
-    for (const Span& s : spans_) v.push_back(ckpt::SpanView{s.p, s.bytes});
-    return v;
-  }
-
-  /// The spans as writable views — the restore targets of --resume.
-  std::vector<ckpt::MutSpanView> mut_views() const {
-    std::vector<ckpt::MutSpanView> v;
-    v.reserve(spans_.size());
-    for (const Span& s : spans_) v.push_back(ckpt::MutSpanView{s.p, s.bytes});
-    return v;
-  }
-
   /// Copies every span into its shadow (acquiring shadows on first use) and
-  /// stamps a CRC32C over the snapshot, so a later restore() can prove the
-  /// shadow was not corrupted in the meantime.
+  /// stamps a CRC32C over each copy, so restore() can prove the shadow was
+  /// not corrupted in the meantime.  step() does this before a body that
+  /// can fail.
   void save() {
-    for (Span& s : spans_) {
-      if (s.shadow.p == nullptr) s.shadow = mem::acquire(s.bytes, 64);
-      std::memcpy(s.shadow.p, s.p, s.bytes);
-      s.crc = crc::crc32c(s.shadow.p, s.bytes);
+    shadows_.resize(spans_.size());
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+      Shadow& s = shadows_[i];
+      if (s.copy.p == nullptr) s.copy = mem::acquire(spans_[i].bytes, 64);
+      std::memcpy(s.copy.p, spans_[i].data, spans_[i].bytes);
+      s.crc = crc::crc32c(s.copy.p, spans_[i].bytes);
     }
   }
 
-  /// Copies every shadow back over its span.  save() must have run first.
+  /// Copies every shadow back over its span; no-op before the first save().
   /// Each shadow is CRC-verified before the copy: rolling corrupted state
   /// back would *become* the silent wrongness this subsystem exists to
   /// prevent, so a mismatch is unrecoverable by construction.
   void restore() {
-    for (Span& s : spans_) {
-      if (s.shadow.p == nullptr) continue;
-      if (crc::crc32c(s.shadow.p, s.bytes) != s.crc) {
+    for (std::size_t i = 0; i < shadows_.size(); ++i) {
+      const Shadow& s = shadows_[i];
+      if (crc::crc32c(s.copy.p, spans_[i].bytes) != s.crc) {
         obs::ObsRegistry::instance().record(obs::counter_id("ckpt/crc_fail"),
                                             -1, 1.0);
         throw RecoveryExhausted(
             "carried-state shadow failed CRC verification; refusing to "
             "restore corrupted checkpoint state");
       }
-      std::memcpy(s.p, s.shadow.p, s.bytes);
+      std::memcpy(spans_[i].data, s.copy.p, spans_[i].bytes);
     }
   }
-
- private:
-  struct Span {
-    void* p;
-    std::size_t bytes;
-    mem::Allocation shadow;
-    std::uint32_t crc = 0;
-  };
-  std::vector<Span> spans_;
-};
-
-/// Runs time steps with checkpoint/retry/degradation under an armed fault
-/// session, and as a zero-copy pass-through otherwise.  One StepRunner per
-/// benchmark run; bodies are `body(WorkerTeam& tm, int nt)` and must derive
-/// every partition from (tm, nt) rather than the original thread count, so a
-/// degraded re-run re-partitions cleanly.
-class StepRunner {
- public:
-  /// `team` is the full-width team; `topts` are its options (reused verbatim
-  /// for degraded teams, watchdog included); `ckpt` holds the step state.
-  /// A durable ckpt::Session installed on the constructing thread (see
-  /// ScopedCkptSession in the benchmark wrappers) is picked up here and
-  /// drives --resume restoration and --ckpt-every flushes transparently.
-  StepRunner(WorkerTeam& team, const TeamOptions& topts, Checkpoint& ckpt)
-      : base_(team),
-        topts_(topts),
-        ckpt_(ckpt),
-        width_(team.size()),
-        session_(ckpt::current()) {}
 
   /// Current team width (shrinks on degradation; floor 1).
   int width() const noexcept { return width_; }
 
   /// The team steps currently run on: the base team, or the degraded
   /// replacement after a shrink.
-  WorkerTeam& team() noexcept { return degraded_ ? *degraded_ : base_; }
+  WorkerTeam& team() noexcept { return degraded_ ? *degraded_ : *base_; }
 
   /// True once at least one degradation happened.
   bool degraded() const noexcept { return degraded_ != nullptr; }
@@ -193,69 +162,72 @@ class StepRunner {
   }
 
   /// Runs one step.  `healthy()` is evaluated after a body that returned
-  /// normally; returning false (e.g. a NaN in the step's residual — the
-  /// nan-poison signature) counts as a failure and triggers the same
-  /// restore/retry path as a thrown fault.
+  /// normally when the step can be rolled back; returning false (e.g. a NaN
+  /// in the step's residual — the nan-poison signature) counts as a failure
+  /// and triggers the same restore/retry path as a thrown fault.
   template <class Body, class Healthy>
   void step(long step_no, Body&& body, Healthy&& healthy) {
     Injector& inj = current();
-    // Fast path: no save, no gating.  A running watchdog keeps the retry
-    // machinery engaged even without injection specs, so a genuinely hung
-    // rank (the watchdog's real-world case) still gets restore-and-retry
-    // instead of propagating RegionAborted out of the run.  A durable
-    // checkpoint session always takes the slow path, for the resume gate,
-    // the cadence flush, and the retry after a failed flush (which restores
-    // the shadow snapshot).  The flush itself writes the live spans.
-    if (session_ == nullptr && !inj.armed() && topts_.watchdog_ms <= 0) {
-      body(team(), width_);
-      if (ckpt::interrupt_requested()) throw ckpt::Interrupted(step_no);
-      return;
+    // A running watchdog keeps the retry machinery engaged even without
+    // injection specs, so a genuinely hung rank (the watchdog's real-world
+    // case) still gets restore-and-retry instead of propagating
+    // RegionAborted out of the run.
+    const bool rollback = inj.armed() || topts_.watchdog_ms > 0;
+    if (durable_.resume) {  // once, after setup has shaped every span
+      durable_.resume = false;
+      resume_step_ = session_->load(spans_);
     }
-    // Resume restoration is lazy — done at the first step() call, after the
-    // driver's setup has shaped every registered span — and idempotent via
-    // resume_pending().  Steps the checkpoint already covers are skipped
-    // outright; the restored arrays carry their full effect.
-    if (session_ != nullptr && session_->resume_pending())
-      resume_step_ = session_->consume_resume(ckpt_.mut_views());
-    if (step_no <= resume_step_) return;
-    ckpt_.save();
+    if (step_no <= resume_step_) return;  // the restored spans carry it
+    if (rollback)
+      run_until_clean(step_no, body, healthy);
+    else
+      body(team(), width_);
+    const long halt = durable_.halt_after_step;
+    const long every = durable_.every;
+    const bool stop = ckpt::interrupt_requested() ||
+                      (halt != ckpt::kNoStep && step_no >= halt);
+    if (!durable_.dir.empty() && (stop || (every > 0 && step_no % every == 0)))
+      flush(step_no);
+    if (rollback) inj.set_step(-1);  // close the injection window
+    if (stop) throw ckpt::Interrupted(step_no);
+  }
+
+ private:
+  struct Shadow {
+    mem::Allocation copy;
+    std::uint32_t crc = 0;
+  };
+
+  /// Runs the body from saved shadows until it completes healthy: restore
+  /// and retry after a caught failure, degrade once the retries at this
+  /// width are spent.  Returns with the injection window still open, so the
+  /// step's flush runs inside it.
+  template <class Body, class Healthy>
+  void run_until_clean(long step_no, Body& body, Healthy& healthy) {
+    Injector& inj = current();
+    save();
     int attempts = 0;
     for (;;) {
       inj.set_step(step_no);
-      bool failed = false;
       try {
         body(team(), width_);
-        failed = !healthy();
-        if (!failed && session_ != nullptr && session_->should_flush(step_no)) {
-          // Still inside the injection window: a ckpt:corrupt spec decides
-          // here whether this flush commits a bit-flipped payload.  flush()
-          // readback-verifies before rename, so a corrupted flush is
-          // detected (false), blamed in obs, and retried like any fault —
-          // while the previous durable checkpoint stays intact.
-          const bool corrupt = inj.should_corrupt(Site::Ckpt, 0);
-          failed = !session_->flush(step_no, ckpt_.views(), corrupt);
+        if (healthy()) {
+          inj.clear_failed();  // survived blame (e.g. washed-out poison)
+          return;
         }
       } catch (const RegionAborted&) {
-        failed = true;  // watchdog escalation: the region unwound cleanly
+        // watchdog escalation: the region unwound cleanly
       } catch (const InjectedFault&) {
-        failed = true;
       } catch (const std::bad_alloc&) {
-        failed = true;  // alloc-fail site, or genuine exhaustion
+        // alloc-fail site, or genuine exhaustion
       }
       inj.set_step(-1);  // close the injection window before any recovery
-      if (!failed) {
-        inj.clear_failed();  // survived blame (e.g. washed-out poison)
-        finish_step(step_no);  // may throw Interrupted after a final flush
-        return;
-      }
       ++attempts;
       obs::ObsRegistry::instance().record(obs::counter_id("fault/retries"), -1,
                                           1.0);
-      ckpt_.restore();
+      restore();
       if (attempts <= inj.max_retries()) {
-        if (inj.backoff_ms() > 0)
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(inj.backoff_ms() * attempts));
+        back_off(attempts);
         continue;
       }
       degrade(step_no);  // throws when degradation is off or exhausted
@@ -263,20 +235,32 @@ class StepRunner {
     }
   }
 
- private:
-  /// A step just completed (and its cadenced flush, if any, committed).
-  /// Stop here — with a final off-cadence durable flush so nothing done is
-  /// lost — when a SIGINT/SIGTERM arrived or the session's halt_after_step
-  /// (the crash-test knob) is reached.
-  void finish_step(long step_no) {
-    const bool halted = session_ != nullptr &&
-                        session_->halt_after_step() != ckpt::kNoStep &&
-                        step_no >= session_->halt_after_step();
-    if (!halted && !ckpt::interrupt_requested()) return;
-    if (session_ != nullptr && session_->can_save() &&
-        !session_->should_flush(step_no))
-      session_->flush(step_no, ckpt_.views(), false);
-    throw ckpt::Interrupted(step_no);
+  /// Commits the live spans at `step_no`, rewriting them while the readback
+  /// fails (the live spans are only read, so nothing needs restoring).
+  void flush(long step_no) {
+    Injector& inj = current();
+    for (int attempts = 1;; ++attempts) {
+      // Still inside the injection window: a ckpt:corrupt spec decides here
+      // whether this write commits a bit-flipped payload.
+      const bool corrupt = inj.should_corrupt(Site::Ckpt, 0);
+      if (session_->commit(step_no, spans_, corrupt)) return;
+      obs::ObsRegistry::instance().record(obs::counter_id("fault/retries"), -1,
+                                          1.0);
+      if (attempts > inj.max_retries()) {
+        inj.set_step(-1);
+        throw RecoveryExhausted("checkpoint flush at step " +
+                                std::to_string(step_no) + " failed readback " +
+                                std::to_string(attempts) + " times");
+      }
+      back_off(attempts);
+    }
+  }
+
+  /// Linear backoff: attempt k sleeps k * --backoff-ms.
+  static void back_off(int attempts) {
+    const int ms = current().backoff_ms();
+    if (ms > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms * attempts));
   }
 
   /// Retries at this width are exhausted: shrink by the blamed-rank count
@@ -301,12 +285,14 @@ class StepRunner {
                                         -1, static_cast<double>(nw));
   }
 
-  WorkerTeam& base_;
+  WorkerTeam* base_;
   const TeamOptions topts_;
-  Checkpoint& ckpt_;
   int width_;
-  ckpt::Session* session_;        ///< durable session, or nullptr
-  long resume_step_ = ckpt::kNoStep;  ///< steps <= this replay from disk
+  std::vector<ckpt::MutSpanView> spans_;  ///< the carried state
+  std::vector<Shadow> shadows_;           ///< one per span once saved
+  ckpt::Session* session_;                ///< durable session, or nullptr
+  ckpt::CkptOptions durable_;             ///< its options (resume cleared)
+  long resume_step_ = ckpt::kNoStep;      ///< steps <= this replay from disk
   std::unique_ptr<WorkerTeam> degraded_;
 };
 

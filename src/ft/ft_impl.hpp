@@ -277,12 +277,10 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   // pre-sizes it, computes it inside the step body, and registers it as the
   // only span — a retry rolls it back and a durable resume restores every
   // replayed step's checksum.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
+  fault::StepRunner steps(team, topts);
   if (team != nullptr) {
     out.checksums.assign(2 * static_cast<std::size_t>(p.iterations), 0.0);
-    ckpt.add(out.checksums.data(), out.checksums.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
+    steps.add(out.checksums.data(), out.checksums.size() * sizeof(double));
   }
 
   for (int t = 1; t <= p.iterations; ++t) {
@@ -346,7 +344,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
       out.checksums.push_back(cre);
       out.checksums.push_back(cim);
     } else {
-      steps->step(t, [&](WorkerTeam& tm, int nt) {
+      steps.step(t, [&](WorkerTeam& tm, int nt) {
         if (topts.fused) {
           // Fused: decay tables, evolve, and all three inverse-FFT passes
           // run resident in one dispatch per time step; each rank keeps one

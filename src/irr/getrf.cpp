@@ -154,10 +154,9 @@ RunResult run_getrf_irr(const RunConfig& cfg) {
     }
     seconds = wtime() - t0;
   } else {
-    fault::Checkpoint ckpt;
-    ckpt.add(a.data(), a.size() * sizeof(double));
-    ckpt.add(ipiv.data(), ipiv.size() * sizeof(long));
-    fault::StepRunner steps(*team, topts, ckpt);
+    fault::StepRunner steps(team, topts);
+    steps.add(a.data(), a.size() * sizeof(double));
+    steps.add(ipiv.data(), ipiv.size() * sizeof(long));
     t0 = wtime();
     for (int it = 1; it <= p.iterations; ++it) {
       steps.step(it, [&](WorkerTeam& tm, int) {

@@ -225,10 +225,9 @@ RunResult run_knn(const RunConfig& cfg) {
     }
     seconds = wtime() - t0;
   } else {
-    fault::Checkpoint ckpt;
-    ckpt.add(nbr.data(), nbr.size() * sizeof(long));
-    ckpt.add(nbr_d.data(), nbr_d.size() * sizeof(double));
-    fault::StepRunner steps(*team, topts, ckpt);
+    fault::StepRunner steps(team, topts);
+    steps.add(nbr.data(), nbr.size() * sizeof(long));
+    steps.add(nbr_d.data(), nbr_d.size() * sizeof(double));
     t0 = wtime();
     for (int it = 1; it <= p.iterations; ++it) {
       steps.step(it, [&](WorkerTeam& tm, int) {

@@ -203,9 +203,8 @@ RunResult run_sort(const RunConfig& cfg) {
     }
     seconds = wtime() - t0;
   } else {
-    fault::Checkpoint ckpt;
-    ckpt.add(a.data(), a.size() * sizeof(double));
-    fault::StepRunner steps(*team, topts, ckpt);
+    fault::StepRunner steps(team, topts);
+    steps.add(a.data(), a.size() * sizeof(double));
     t0 = wtime();
     for (int it = 1; it <= p.iterations; ++it) {
       steps.step(it, [&](WorkerTeam& tm, int) {

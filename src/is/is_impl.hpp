@@ -159,11 +159,10 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
     // the checkpoint.  The private histograms are rebuilt from scratch
     // every iteration and stay unregistered.
     out.probe_sums.assign(static_cast<std::size_t>(iterations), 0.0);
-    fault::Checkpoint ckpt;
-    ckpt.add(keys.data(), keys.size() * sizeof(int));
-    ckpt.add(hist.data(), hist.size() * sizeof(int));
-    ckpt.add(out.probe_sums.data(), out.probe_sums.size() * sizeof(double));
-    fault::StepRunner steps(team, topts, ckpt);
+    fault::StepRunner steps(&team, topts);
+    steps.add(keys.data(), keys.size() * sizeof(int));
+    steps.add(hist.data(), hist.size() * sizeof(int));
+    steps.add(out.probe_sums.data(), out.probe_sums.size() * sizeof(double));
     const double t0 = wtime();
     for (int it = 1; it <= iterations; ++it) {
       steps.step(it, [&](WorkerTeam& tm, int nt) {

@@ -230,12 +230,8 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
 
   // One SSOR time step is the retry unit; u is the only cross-step state
   // (rhs is rebuilt from u each attempt), so the checkpoint is just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  fault::StepRunner steps(team, topts);
+  steps.add(f.u.data(), f.u.size() * sizeof(double));
 
   const double t0 = wtime();
   for (int it = 0; it < prm.iterations; ++it) {
@@ -268,7 +264,7 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
                               static_cast<std::size_t>(k), static_cast<std::size_t>(m));
       continue;
     }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
+    steps.step(it, [&](WorkerTeam& tm, int nt) {
       // Wavefront waits must unwind as RegionAborted when a fault kills the
       // region mid-pipeline; point the spin loops at the team actually
       // running this attempt (it changes after degradation).
@@ -404,12 +400,8 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
   };
 
   // Same retry unit and checkpoint as lu_run: one step, spanning just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  fault::StepRunner steps(team, topts);
+  steps.add(f.u.data(), f.u.size() * sizeof(double));
 
   const double t0 = wtime();
   for (int it = 0; it < prm.iterations; ++it) {
@@ -442,7 +434,7 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
                               static_cast<std::size_t>(k), static_cast<std::size_t>(m));
       continue;
     }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
+    steps.step(it, [&](WorkerTeam& tm, int nt) {
       if (topts.fused) {
         spmd(tm, [&](ParallelRegion& rg, int rank) { step_body(rg, rank, nt, true); });
       } else {

@@ -474,22 +474,18 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
   // by interp) and its residual r[lt] (the down-leg's input) — while every
   // coarser level is overwritten on the way down/up, so those two spans are
   // the whole checkpoint.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(u[static_cast<std::size_t>(lt)].data(),
-             u[static_cast<std::size_t>(lt)].size() * sizeof(double));
-    ckpt.add(r[static_cast<std::size_t>(lt)].data(),
-             r[static_cast<std::size_t>(lt)].size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  fault::StepRunner steps(team, topts);
+  steps.add(u[static_cast<std::size_t>(lt)].data(),
+            u[static_cast<std::size_t>(lt)].size() * sizeof(double));
+  steps.add(r[static_cast<std::size_t>(lt)].data(),
+            r[static_cast<std::size_t>(lt)].size() * sizeof(double));
 
   for (int iter = 1; iter <= prm.iterations; ++iter) {
     if (team == nullptr) {
       vcycle(planes_forked, master_forked);
       continue;
     }
-    steps->step(iter, [&](WorkerTeam& tm, int) {
+    steps.step(iter, [&](WorkerTeam& tm, int) {
       if (topts.fused) {
         // Fused: the whole V-cycle — every level's restrict, smooth,
         // interpolate and residual — runs resident in one dispatch per

@@ -187,7 +187,7 @@ inline constexpr Counter kCounters[] = {
     // Ranks the watchdog found absent, 1 in each blamed rank's slot.
     {"fault/stuck_rank", Unit::Count, &Snapshot::stuck_rank_total,
      &Snapshot::stuck_rank_count},
-    // Time-step retries performed by StepRunner.
+    // Retries performed by StepRunner: re-run steps and rewritten flushes.
     {"fault/retries", Unit::Count, &Snapshot::fault_retries_total,
      &Snapshot::fault_retries_count},
     // Width adopted by each graceful-degradation shrink; count = shrinks.

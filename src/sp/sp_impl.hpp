@@ -351,12 +351,8 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
   // One ADI time step is the retry unit.  As in BT, u is the only state a
   // step carries into the next one (phi, forcing and ue are init-time
   // constants, rhs is rebuilt from u), so the checkpoint is just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  fault::StepRunner steps(team, topts);
+  steps.add(f.u.data(), f.u.size() * sizeof(double));
 
   // Forked phase driver over the width actually running (`nt`), so a
   // degraded retry repartitions instead of reading stale slabs.
@@ -400,7 +396,7 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
       }
       continue;
     }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
+    steps.step(it, [&](WorkerTeam& tm, int nt) {
       if (topts.fused) {
         // Fused: one team dispatch per time step.  The eleven phases of the
         // SP step (rhs, three transform/solve/transform triplets, add) run

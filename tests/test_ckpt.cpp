@@ -2,7 +2,9 @@
 // (every truncation, every header byte flip, payload bit rot, wrong-identity
 // metadata, stale versions, trailing garbage — all rejected with a named
 // CkptError, never a crash or a silently wrong resume), the Session
-// flush/consume round trip with its corrupt-flush-keeps-last-good guarantee,
+// commit/load round trip with its corrupt-commit-keeps-last-good guarantee,
+// the StepRunner's durable step path (resume once, no shadow without
+// rollback, every flush checked, bad writes rewritten and never degraded),
 // and the service-level kill-and-resubmit resume path.
 
 #include <gtest/gtest.h>
@@ -15,7 +17,9 @@
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
+#include "fault/retry.hpp"
 #include "npb/registry.hpp"
+#include "obs/obs.hpp"
 #include "svc/jobspec.hpp"
 #include "svc/scheduler.hpp"
 
@@ -38,6 +42,11 @@ struct Sample {
   long step = 7;
 
   std::vector<ckpt::SpanView> views() const {
+    return {{a.data(), a.size() * sizeof(double)},
+            {b.data(), b.size() * sizeof(double)}};
+  }
+  /// The same spans as a StepRunner registers them: what commit() reads.
+  std::vector<ckpt::MutSpanView> live() {
     return {{a.data(), a.size() * sizeof(double)},
             {b.data(), b.size() * sizeof(double)}};
   }
@@ -183,25 +192,24 @@ std::string fresh_dir(const char* tag) {
   return dir;
 }
 
-TEST(CkptSession, FlushThenConsumeResumeRoundTrips) {
-  const Sample s;
+TEST(CkptSession, CommitThenLoadRoundTrips) {
+  Sample s;
   const std::string dir = fresh_dir("roundtrip");
   ckpt::CkptOptions save_opts;
   save_opts.dir = dir;
   ckpt::Session saver(sample_meta(), save_opts);
-  ASSERT_TRUE(saver.flush(s.step, s.views(), false));
+  ASSERT_TRUE(saver.commit(s.step, s.live(), false));
 
   ckpt::CkptOptions load_opts;
   load_opts.dir = dir;
   load_opts.resume = true;
   ckpt::Session loader(sample_meta(), load_opts);
-  ASSERT_TRUE(loader.resume_pending());
+  EXPECT_EQ(loader.load_path(), saver.save_path());
   std::vector<double> oa, ob;
   const auto views = s.mut_views(oa, ob);
-  EXPECT_EQ(loader.consume_resume(views), s.step);
+  EXPECT_EQ(loader.load(views), s.step);
   EXPECT_EQ(oa, s.a);
   EXPECT_EQ(ob, s.b);
-  EXPECT_FALSE(loader.resume_pending());
 }
 
 TEST(CkptSession, CorruptFlushKeepsThePreviousGoodCheckpoint) {
@@ -210,12 +218,12 @@ TEST(CkptSession, CorruptFlushKeepsThePreviousGoodCheckpoint) {
   ckpt::CkptOptions opts;
   opts.dir = dir;
   ckpt::Session saver(sample_meta(), opts);
-  ASSERT_TRUE(saver.flush(3, s.views(), false));
+  ASSERT_TRUE(saver.commit(3, s.live(), false));
 
-  // A later flush whose payload rots between CRC stamping and commit must
+  // A later commit whose payload rots between CRC stamping and rename must
   // report failure and leave step 3 on disk untouched.
   s.a[0] = 99.0;
-  EXPECT_FALSE(saver.flush(4, s.views(), true));
+  EXPECT_FALSE(saver.commit(4, s.live(), true));
 
   ckpt::CkptOptions load_opts;
   load_opts.dir = dir;
@@ -223,7 +231,7 @@ TEST(CkptSession, CorruptFlushKeepsThePreviousGoodCheckpoint) {
   ckpt::Session loader(sample_meta(), load_opts);
   std::vector<double> oa, ob;
   const auto views = s.mut_views(oa, ob);
-  EXPECT_EQ(loader.consume_resume(views), 3);
+  EXPECT_EQ(loader.load(views), 3);
   EXPECT_EQ(oa[0], 1.5);  // the pre-corruption value
 }
 
@@ -237,14 +245,14 @@ bool file_exists(const std::string& path) {
 }
 
 TEST(CkptSession, CommittedFileEqualsEncodeByteForByte) {
-  // flush streams the header, the live spans and the payload CRC straight
+  // commit streams the header, the live spans and the payload CRC straight
   // to the temp file; what it commits must be encode()'s image exactly.
-  const Sample s;
+  Sample s;
   const std::string dir = fresh_dir("bytes");
   ckpt::CkptOptions opts;
   opts.dir = dir;
   ckpt::Session saver(sample_meta(), opts);
-  ASSERT_TRUE(saver.flush(s.step, s.views(), false));
+  ASSERT_TRUE(saver.commit(s.step, s.live(), false));
   EXPECT_EQ(file_bytes(saver.save_path()), s.encode());
 }
 
@@ -257,11 +265,11 @@ TEST(CkptSession, CorruptFlushFlipsTheFileNeverTheLiveSpans) {
   ckpt::Session saver(sample_meta(), opts);
   // An empty span first and the payload midpoint (byte 24 of 48) inside the
   // last span: locating the flipped byte has to walk the span table.
-  const std::vector<ckpt::SpanView> views = {
+  const std::vector<ckpt::MutSpanView> views = {
       {nullptr, 0},
       {s.b.data(), s.b.size() * sizeof(double)},
       {s.a.data(), s.a.size() * sizeof(double)}};
-  EXPECT_FALSE(saver.flush(s.step, views, true));
+  EXPECT_FALSE(saver.commit(s.step, views, true));
   EXPECT_EQ(s.a, pristine.a);
   EXPECT_EQ(s.b, pristine.b);
   EXPECT_FALSE(file_exists(saver.save_path()));
@@ -276,16 +284,16 @@ TEST(CkptSession, MissingResumeFileIsACkptError) {
   std::vector<double> oa, ob;
   const Sample s;
   const auto views = s.mut_views(oa, ob);
-  EXPECT_THROW(loader.consume_resume(views), ckpt::CkptError);
+  EXPECT_THROW(loader.load(views), ckpt::CkptError);
 }
 
 TEST(CkptSession, ResumePathOverridesTheDirDerivedLoadPath) {
-  const Sample s;
+  Sample s;
   const std::string dir = fresh_dir("override");
   ckpt::CkptOptions save_opts;
   save_opts.dir = dir;
   ckpt::Session saver(sample_meta(), save_opts);
-  ASSERT_TRUE(saver.flush(s.step, s.views(), false));
+  ASSERT_TRUE(saver.commit(s.step, s.live(), false));
 
   ckpt::CkptOptions load_opts;
   load_opts.resume = true;
@@ -294,7 +302,7 @@ TEST(CkptSession, ResumePathOverridesTheDirDerivedLoadPath) {
   EXPECT_EQ(loader.load_path(), dir + "/CG-S.ckpt");
   std::vector<double> oa, ob;
   const auto views = s.mut_views(oa, ob);
-  EXPECT_EQ(loader.consume_resume(views), s.step);
+  EXPECT_EQ(loader.load(views), s.step);
 }
 
 TEST(CkptInterrupt, FlagSetsAndClears) {
@@ -304,6 +312,124 @@ TEST(CkptInterrupt, FlagSetsAndClears) {
   EXPECT_TRUE(ckpt::interrupt_requested());
   ckpt::clear_interrupt();
   EXPECT_FALSE(ckpt::interrupt_requested());
+}
+
+// ---- StepRunner: the durable step path -------------------------------------
+
+TEST(CkptStepRunner, ResumeLoadsOnceAndSkipsTheStepsItCovers) {
+  const std::string dir = fresh_dir("runner_resume");
+  TeamOptions topts;
+  WorkerTeam team(2, topts);
+  std::vector<double> x(8, 0.0);
+  {
+    ckpt::CkptOptions opts;
+    opts.dir = dir;
+    opts.every = 2;
+    const ckpt::ScopedCkptSession scope(sample_meta(), opts);
+    fault::StepRunner steps(&team, topts);
+    steps.add(x.data(), x.size() * sizeof(double));
+    for (long it = 1; it <= 3; ++it)
+      steps.step(it, [&](WorkerTeam&, int) { x[0] += 1.0; });
+  }
+  // Step 2 is on disk; step 3 was off cadence.
+  std::vector<double> y(8, 0.0);
+  ckpt::CkptOptions opts;
+  opts.dir = dir;
+  opts.resume = true;
+  const ckpt::ScopedCkptSession scope(sample_meta(), opts);
+  fault::StepRunner steps(&team, topts);
+  steps.add(y.data(), y.size() * sizeof(double));
+  std::vector<long> ran;
+  for (long it = 1; it <= 4; ++it)
+    steps.step(it, [&](WorkerTeam&, int) {
+      ran.push_back(it);
+      y[0] += 1.0;
+    });
+  EXPECT_EQ(ran, (std::vector<long>{3, 4}));
+  EXPECT_EQ(y[0], 4.0) << "the checkpoint is loaded once, before step 3";
+}
+
+RunConfig cg_durable(const char* tag) {
+  RunConfig cfg;
+  cfg.cls = ProblemClass::S;
+  cfg.threads = 2;
+  cfg.ckpt.dir = fresh_dir(tag);
+  cfg.fault.backoff_ms = 0;
+  return cfg;
+}
+
+long step_on_disk(const RunConfig& cfg) {
+  return ckpt::decode(file_bytes(cfg.ckpt.dir + "/CG-S.ckpt"),
+                      ckpt_meta("CG", cfg), nullptr);
+}
+
+TEST(CkptStepRunner, DurableOnlyRunsAcquireNoShadow) {
+  // The shadow exists for rolling a failed body back; a durable session
+  // alone never rolls back, so it must not copy the carried state.
+  for (const char* name : {"CG", "MG", "IS"}) {
+    RunFn fn = find_benchmark(name);
+    ASSERT_NE(fn, nullptr);
+    RunConfig cfg;
+    cfg.cls = ProblemClass::S;
+    cfg.threads = 2;
+    const RunResult plain = run_instrumented(fn, cfg);
+    cfg.ckpt.dir = fresh_dir("noshadow");
+    const RunResult durable = run_instrumented(fn, cfg);
+    EXPECT_TRUE(plain.verified) << name;
+    EXPECT_TRUE(durable.verified) << name;
+#ifndef NPB_OBS_DISABLED
+    EXPECT_GE(durable.obs.ckpt_saved_count, 1u) << name;
+    EXPECT_EQ(durable.obs.mem_bytes_allocated, plain.obs.mem_bytes_allocated)
+        << name;
+    EXPECT_EQ(durable.obs.mem_arena_hit_bytes, plain.obs.mem_arena_hit_bytes)
+        << name;
+    EXPECT_EQ(durable.obs.mem_arena_hit_count, plain.obs.mem_arena_hit_count)
+        << name;
+#endif
+  }
+}
+
+TEST(CkptStepRunner, FinalFlushIsCheckedLikeEveryOther) {
+  // Step 5 is off the every-3 cadence; the halt knob stops the run there,
+  // and the stop's flush crosses the ckpt site like a cadenced one: the
+  // corrupt write is caught, rewritten, and step 5 lands on disk.
+  RunConfig cfg = cg_durable("final_flush");
+  cfg.ckpt.every = 3;
+  cfg.ckpt.halt_after_step = 5;
+  cfg.fault.specs.push_back(*fault::parse_fault_spec("ckpt:corrupt:5:0:0"));
+  auto& reg = obs::ObsRegistry::instance();
+  reg.reset();
+  long stopped = ckpt::kNoStep;
+  try {
+    (void)find_benchmark("CG")(cfg);
+  } catch (const ckpt::Interrupted& e) {
+    stopped = e.step();
+  }
+  EXPECT_EQ(stopped, 5);
+#ifndef NPB_OBS_DISABLED
+  EXPECT_EQ(reg.snapshot().ckpt_crc_fail_count, 1u);
+#endif
+  EXPECT_EQ(step_on_disk(cfg), 5);
+}
+
+TEST(CkptStepRunner, PersistentlyBadWritesExhaustWithoutShrinkingTheTeam) {
+  // Every write of step 3 rots: one write plus --max-retries rewrites, then
+  // RecoveryExhausted.  The team is never shrunk for a bad write, and step
+  // 2 stays the last good checkpoint.
+  RunConfig cfg = cg_durable("persist_flush");
+  cfg.fault.specs.push_back(
+      *fault::parse_fault_spec("ckpt:corrupt:3:0:0:persist"));
+  cfg.fault.max_retries = 2;
+  auto& reg = obs::ObsRegistry::instance();
+  reg.reset();
+  EXPECT_THROW((void)find_benchmark("CG")(cfg), fault::RecoveryExhausted);
+#ifndef NPB_OBS_DISABLED
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.degraded_width_count, 0u);
+  EXPECT_EQ(snap.ckpt_crc_fail_count, 3u);
+  EXPECT_EQ(snap.fault_retries_count, 3u);
+#endif
+  EXPECT_EQ(step_on_disk(cfg), 2);
 }
 
 // ---- service layer: killed job resubmitted with resume ---------------------

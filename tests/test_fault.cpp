@@ -287,41 +287,38 @@ TEST(Injector, FailedMaskCountsDistinctRanks) {
   EXPECT_EQ(inj.failed_ranks(), 0);
 }
 
-// ---- checkpoint ------------------------------------------------------------
+// ---- step runner -----------------------------------------------------------
 
-TEST(Checkpoint, SaveRestoreRoundTrips) {
+TEST(StepRunner, SaveRestoreRoundTrips) {
   std::vector<double> a(257, 1.5);
   std::vector<int> b(63, 7);
-  fault::Checkpoint ckpt;
-  ckpt.add(a.data(), a.size() * sizeof(double));
-  ckpt.add(b.data(), b.size() * sizeof(int));
-  EXPECT_EQ(ckpt.spans(), 2u);
-  EXPECT_EQ(ckpt.bytes(), a.size() * sizeof(double) + b.size() * sizeof(int));
-  ckpt.save();
+  fault::StepRunner steps(nullptr, TeamOptions{});
+  steps.add(a.data(), a.size() * sizeof(double));
+  steps.add(b.data(), b.size() * sizeof(int));
+  EXPECT_EQ(steps.spans(), 2u);
+  EXPECT_EQ(steps.bytes(), a.size() * sizeof(double) + b.size() * sizeof(int));
+  steps.save();
   for (double& v : a) v = -9.0;
   for (int& v : b) v = -9;
-  ckpt.restore();
+  steps.restore();
   for (double v : a) EXPECT_EQ(v, 1.5);
   for (int v : b) EXPECT_EQ(v, 7);
 }
 
-TEST(Checkpoint, EmptyAndNullSpansAreIgnored) {
-  fault::Checkpoint ckpt;
-  ckpt.add(nullptr, 64);
+TEST(StepRunner, EmptyAndNullSpansAreIgnored) {
+  fault::StepRunner steps(nullptr, TeamOptions{});
+  steps.add(nullptr, 64);
   std::vector<double> a(4, 1.0);
-  ckpt.add(a.data(), 0);
-  EXPECT_EQ(ckpt.spans(), 0u);
-  EXPECT_NO_THROW(ckpt.save());
-  EXPECT_NO_THROW(ckpt.restore());
+  steps.add(a.data(), 0);
+  EXPECT_EQ(steps.spans(), 0u);
+  EXPECT_NO_THROW(steps.save());
+  EXPECT_NO_THROW(steps.restore());
 }
-
-// ---- step runner -----------------------------------------------------------
 
 TEST(StepRunner, UnarmedFastPathRunsBodyOnce) {
   TeamOptions topts;
   WorkerTeam team(2, topts);
-  fault::Checkpoint ckpt;
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
   int calls = 0;
   steps.step(1, [&](WorkerTeam& tm, int nt) {
     ++calls;
@@ -337,9 +334,8 @@ TEST(StepRunner, TransientThrowIsRetriedAndStateRestored) {
   TeamOptions topts;
   WorkerTeam team(3, topts);
   std::vector<double> x(64, 0.0);
-  fault::Checkpoint ckpt;
-  ckpt.add(x.data(), x.size() * sizeof(double));
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
+  steps.add(x.data(), x.size() * sizeof(double));
 
   int total_attempts = 0;
   for (long it = 1; it <= 8; ++it) {
@@ -367,9 +363,8 @@ TEST(StepRunner, UnhealthyResultTriggersRetry) {
   TeamOptions topts;
   WorkerTeam team(2, topts);
   std::vector<double> x(8, 0.0);
-  fault::Checkpoint ckpt;
-  ckpt.add(x.data(), x.size() * sizeof(double));
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
+  steps.add(x.data(), x.size() * sizeof(double));
 
   double residual = 0.0;
   int attempts = 0;
@@ -391,8 +386,7 @@ TEST(StepRunner, PersistentFaultDegradesWidth) {
       options_for({"region:throw:1:2:0:persist"}, /*max_retries=*/1));
   TeamOptions topts;
   WorkerTeam team(3, topts);
-  fault::Checkpoint ckpt;
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
 
   std::atomic<int> widest{0};
   steps.step(1, [&](WorkerTeam& tm, int nt) {
@@ -419,8 +413,7 @@ TEST(StepRunner, ExhaustionWithDegradationDisabledThrows) {
       {"region:throw:1:0:0:persist"}, /*max_retries=*/1, /*allow_degraded=*/false));
   TeamOptions topts;
   WorkerTeam team(2, topts);
-  fault::Checkpoint ckpt;
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
   EXPECT_THROW(
       steps.step(1, [&](WorkerTeam& tm, int) { tm.run([](int) {}); }),
       std::runtime_error);
@@ -460,10 +453,9 @@ TEST(Watchdog, StepRunnerRetriesAfterWatchdogAbort) {
   TeamOptions topts;
   topts.watchdog_ms = 50;
   WorkerTeam team(3, topts);
-  fault::Checkpoint ckpt;
   std::vector<double> x(8, 0.0);
-  ckpt.add(x.data(), x.size() * sizeof(double));
-  fault::StepRunner steps(team, topts, ckpt);
+  fault::StepRunner steps(&team, topts);
+  steps.add(x.data(), x.size() * sizeof(double));
 
   std::atomic<bool> hang_once{true};
   int attempts = 0;
