@@ -14,7 +14,7 @@
 #include "bench_util.hpp"
 #include "cfdops/cfdops.hpp"
 #include "common/table.hpp"
-#include "svc/options.hpp"
+#include "npb/options.hpp"
 
 namespace {
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (!arg.starts_with("--reps="))
       argv[kept++] = argv[i];
-    else if (const auto n = npb::svc::parse_count(arg.substr(7)); n && *n > 0)
+    else if (const auto n = npb::cli::parse_count(arg.substr(7)); n && *n > 0)
       reps = *n;
     else
       std::fprintf(stderr, "ignoring %s: expected a positive count\n", argv[i]);
@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
     npb::CfdConfig cfg;
     cfg.reps = reps;
     cfg.mem = args.cfg.mem;
+    cfg.warmup_spins = args.cfg.warmup_spins;
     cfg.mode = npb::Mode::Native;
     cfg.threads = 0;
     const double f77 = npb::run_cfd_op(op, cfg).seconds;

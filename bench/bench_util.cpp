@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "npb/options.hpp"
 #include "npb/registry.hpp"
-#include "svc/options.hpp"
 
 namespace npb::benchutil {
 namespace {
@@ -40,7 +40,7 @@ Args parse(int argc, char** argv, Args defaults) {
   }
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const svc::RunOption* row = svc::find_flag(arg);
+    const cli::RunOption* row = cli::find_flag(arg);
     if (arg.starts_with("--threads=")) {
       const auto t = parse_threads(argv[i] + 10);
       if (!t.empty()) a.threads = t;
@@ -49,7 +49,7 @@ Args parse(int argc, char** argv, Args defaults) {
     } else if (row != nullptr && std::find(std::begin(kBenchFlags),
                                            std::end(kBenchFlags),
                                            row->flag) != std::end(kBenchFlags)) {
-      if (const std::string err = svc::apply_flag(*row, arg, a.cfg);
+      if (const std::string err = cli::apply_flag(*row, arg, a.cfg);
           !err.empty())
         std::fprintf(stderr, "ignoring %s: %s\n", argv[i], err.c_str());
     } else {

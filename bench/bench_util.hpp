@@ -28,7 +28,7 @@ namespace npb::benchutil {
 
 struct Args {
   /// What the run-option flags above set (class, warm-up, schedule, memory
-  /// policy), through npbrun's own rows (svc/options.hpp).  Every table
+  /// policy), through npbrun's own rows (npb/options.hpp).  Every table
   /// bench starts its runs from this config.
   RunConfig cfg;
   std::vector<int> threads{0, 1, 2};

@@ -28,10 +28,10 @@ RunResult run_bt(const RunConfig& cfg) {
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
   const AppOutput o = cfg.mode == Mode::Java
-                          ? bt_run<Checked>(p, cfg.threads, topts, cfg.team)
+                          ? bt_run<Checked>(p, cfg.threads, topts)
                           : cfg.mode == Mode::Vec
-                                ? bt_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                                : bt_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                                ? bt_run<Unchecked, true>(p, cfg.threads, topts)
+                                : bt_run<Unchecked>(p, cfg.threads, topts);
 
   // Per point per iteration: RHS stencil (~500 flops) plus three block-
   // tridiagonal line solves (~3 * 600 flops for the 5x5 block algebra).

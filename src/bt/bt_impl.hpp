@@ -187,15 +187,14 @@ void over_range(WorkerTeam* team, long n, const F& body) {
 }
 
 template <class P, bool V = false>
-AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.  The sweeps split planes statically
   // under every --schedule, so placement does too.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
@@ -412,8 +411,8 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template AppOutput bt_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput bt_run<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput bt_run<Unchecked, true>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+extern template AppOutput bt_run<Unchecked>(const AppParams&, int, const TeamOptions&);
+extern template AppOutput bt_run<Checked>(const AppParams&, int, const TeamOptions&);
+extern template AppOutput bt_run<Unchecked, true>(const AppParams&, int, const TeamOptions&);
 
 }  // namespace npb::bt_detail

@@ -1,5 +1,5 @@
 #include "bt/bt_impl.hpp"
 
 namespace npb::bt_detail {
-template AppOutput bt_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+template AppOutput bt_run<Unchecked>(const AppParams&, int, const TeamOptions&);
 }  // namespace npb::bt_detail

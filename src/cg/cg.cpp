@@ -30,10 +30,10 @@ RunResult run_cg(const RunConfig& cfg) {
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
   const CgOutput o = cfg.mode == Mode::Java
-                         ? cg_run<Checked>(p, cfg.threads, topts, cfg.team)
+                         ? cg_run<Checked>(p, cfg.threads, topts)
                          : cfg.mode == Mode::Vec
-                               ? cg_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                               : cg_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                               ? cg_run<Unchecked, true>(p, cfg.threads, topts)
+                               : cg_run<Unchecked>(p, cfg.threads, topts);
 
   RunResult r;
   r.name = "CG";

@@ -380,16 +380,15 @@ void conj_grad_forked(const Csr<P>& m, const Array1<double, P>& x,
 }
 
 template <class P, bool V = false>
-CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts) {
   // Thread creation happens at initialization (untimed), as in the paper —
   // and *before* any allocation, so a FirstTouch placement can fault the
   // matrix and vectors in on the ranks that will traverse them (the
   // co-location the paper's CG warm-up trick was after).
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
   const mem::ScopedTeamPlacement placement(
-      team_storage ? team_storage->get() : nullptr, topts.schedule);
+      team_storage ? &*team_storage : nullptr, topts.schedule);
 
   const Csr<P> m = make_matrix<P>(p);
   const long n = m.n;
@@ -456,7 +455,7 @@ CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
     // spans and their accumulation happens inside the step body, so a
     // retried step rolls them back (no double-count) and a durable resume
     // restores them alongside x.
-    fault::StepRunner steps(team_storage->get(), topts);
+    fault::StepRunner steps(&*team_storage, topts);
     steps.add(x.data(), x.size() * sizeof(double));
     steps.add(&sc, sizeof sc);
     steps.add(&zeta, sizeof zeta);
@@ -531,8 +530,8 @@ CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template CgOutput cg_run<Unchecked>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template CgOutput cg_run<Checked>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template CgOutput cg_run<Unchecked, true>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
+extern template CgOutput cg_run<Unchecked>(const CgParams&, int, const TeamOptions&);
+extern template CgOutput cg_run<Checked>(const CgParams&, int, const TeamOptions&);
+extern template CgOutput cg_run<Unchecked, true>(const CgParams&, int, const TeamOptions&);
 
 }  // namespace npb::cg_detail

@@ -3,8 +3,8 @@
 // Durable checkpoint/restart — the crash-consistent half of the recovery
 // story.  fault::StepRunner makes a time step the retry unit while the
 // process survives; this layer gives the runner's registered spans an
-// on-disk form so a SIGKILLed npbrun (or a crashed service job) resumes from
-// the last completed step instead of losing the run:
+// on-disk form so a SIGKILLed npbrun resumes from the last completed step
+// instead of losing the run:
 //
 //   header   magic "NPBCKPT1", format version, benchmark name, problem
 //            class, mode, runtime, team width, step number, per-span byte

@@ -254,7 +254,8 @@ class Parser {
             }
           }
           // UTF-8 encode the BMP code point (surrogate pairs are out of
-          // scope for job specs; a lone surrogate encodes as-is).
+          // scope for the reports read back; a lone surrogate encodes
+          // as-is).
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {

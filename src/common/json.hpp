@@ -1,19 +1,19 @@
 #pragma once
 
-// Minimal JSON layer shared by the report emitters and the service job-spec
-// reader.  Two properties are load-bearing for the service story and are
-// guaranteed here in one place instead of per-emitter:
+// Minimal JSON layer behind the obs reports and the perfbench result files.
+// Two properties are load-bearing and are guaranteed here in one place
+// instead of per-emitter:
 //
 //   * every string is escaped (quotes, backslashes, control characters), so
 //     a benchmark name, an error message, or a fault spec can never corrupt
 //     a report, and
-//   * object keys serialize in sorted order (std::map), so service-level
-//     reports are byte-stable across runs and diff cleanly.
+//   * object keys serialize in sorted order (std::map), so reports are
+//     byte-stable across runs and diff cleanly (the golden obs report
+//     depends on it).
 //
 // The parser accepts standard JSON (objects, arrays, strings, numbers,
-// booleans, null) with strict errors — it exists for the newline-delimited
-// job specs `npbrun --serve` reads, where a malformed line must be a usage
-// error, never a silently defaulted job.
+// booleans, null) with strict errors — it serves the tests that read
+// reports back and check them field by field.
 
 #include <cstdint>
 #include <map>

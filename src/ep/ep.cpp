@@ -33,8 +33,8 @@ RunResult run_ep(const RunConfig& cfg) {
   // parallelize — so --mode=vec runs the native instantiation (bit-identical;
   // the vec differential holds it to the Exact tier).
   const EpOutput o = cfg.mode == Mode::Java
-                         ? ep_run<Checked>(p.log2_pairs, cfg.threads, topts, cfg.team)
-                         : ep_run<Unchecked>(p.log2_pairs, cfg.threads, topts, cfg.team);
+                         ? ep_run<Checked>(p.log2_pairs, cfg.threads, topts)
+                         : ep_run<Unchecked>(p.log2_pairs, cfg.threads, topts);
 
   RunResult r;
   r.name = "EP";

@@ -73,8 +73,7 @@ void ep_block(long block, Array1<double, P>& buf, BlockAccum& acc) {
 }
 
 template <class P>
-EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts) {
   const long npairs = 1L << log2_pairs;
   const long nblocks = (npairs + kBlockPairs - 1) / kBlockPairs;
 
@@ -95,8 +94,7 @@ EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
     out.accepted = acc.accepted;
     out.q = acc.q;
   } else {
-    TeamRef base_ref(threads, topts, pooled);
-    WorkerTeam& base_team = *base_ref;
+    WorkerTeam base_team(threads, topts);
     // EP's only buffers are per-rank block scratch allocated on the workers
     // themselves (already the right first touch); the scope keeps the mem
     // context uniform across benchmarks.
@@ -177,7 +175,7 @@ EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template EpOutput ep_run<Unchecked>(int, int, const TeamOptions&, WorkerTeam*);
-extern template EpOutput ep_run<Checked>(int, int, const TeamOptions&, WorkerTeam*);
+extern template EpOutput ep_run<Unchecked>(int, int, const TeamOptions&);
+extern template EpOutput ep_run<Checked>(int, int, const TeamOptions&);
 
 }  // namespace npb::ep_detail

@@ -182,7 +182,6 @@ void Injector::install(const std::vector<FaultSpec>& specs) {
   step_.store(-1, std::memory_order_relaxed);
   failed_mask_.store(0, std::memory_order_relaxed);
   injected_.store(0, std::memory_order_relaxed);
-  degraded_width_.store(0, std::memory_order_relaxed);
   armed_.store(!specs_.empty(), std::memory_order_release);
 }
 

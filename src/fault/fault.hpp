@@ -24,7 +24,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/threadctx.hpp"
 #include "fault/options.hpp"
 #include "obs/obs.hpp"
 
@@ -40,14 +39,9 @@ class InjectedFault : public std::runtime_error {
 
 class Injector {
  public:
-  /// The process-wide default injector — what every hook uses when no
-  /// job-scoped injector is bound to the calling thread.
+  /// The process's injector: every hook, the retry machinery and the
+  /// barrier watchdog route through it.
   static Injector& instance() noexcept;
-
-  /// Job-scoped injectors: the service scheduler constructs one per job so
-  /// a tenant's fault specs can never fire inside another tenant's team.
-  /// Bind with ScopedInjectorBinding; the hooks then route via current().
-  Injector() = default;
 
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
@@ -119,16 +113,9 @@ class Injector {
     return injected_.load(std::memory_order_relaxed);
   }
 
-  /// Width the session's StepRunner degraded to (0 = never degraded).
-  /// Cleared on install; the service report surfaces it per job.
-  void note_degraded(int width) noexcept {
-    degraded_width_.store(width, std::memory_order_relaxed);
-  }
-  int degraded_width() const noexcept {
-    return degraded_width_.load(std::memory_order_relaxed);
-  }
-
  private:
+  Injector() = default;
+
   struct CompiledSpec {
     FaultSpec spec;
     std::atomic<unsigned long> occurrence{0};
@@ -151,7 +138,6 @@ class Injector {
   std::atomic<long> step_{-1};
   std::atomic<std::uint32_t> failed_mask_{0};
   std::atomic<std::uint64_t> injected_{0};
-  std::atomic<int> degraded_width_{0};
   /// Stable while armed: install/clear happen between team regions only.
   std::vector<CompiledSpec*> specs_;
   int max_retries_ = 3;
@@ -159,45 +145,14 @@ class Injector {
   bool allow_degraded_ = true;
 };
 
-/// The injector governing the calling thread: the job-scoped one bound via
-/// ScopedInjectorBinding (and inherited by team workers at dispatch), or the
-/// process-wide default.  Every hook and the retry machinery route through
-/// this, so a single-benchmark process behaves exactly as before while the
-/// service gets per-tenant isolation.
-inline Injector& current() noexcept {
-  void* p = threadctx::current().fault_injector;
-  return p != nullptr ? *static_cast<Injector*>(p) : Injector::instance();
-}
-
-/// Binds a job-scoped Injector to the calling thread for the binding's
-/// lifetime.  WorkerTeam::dispatch() snapshots the binding and installs it
-/// in each worker, so hooks inside the team fire against the job's injector.
-class ScopedInjectorBinding {
- public:
-  explicit ScopedInjectorBinding(Injector& inj) noexcept {
-    threadctx::Slots next = threadctx::current();
-    next.fault_injector = &inj;
-    prev_ = threadctx::exchange(next);
-  }
-  ~ScopedInjectorBinding() { threadctx::exchange(prev_); }
-
-  ScopedInjectorBinding(const ScopedInjectorBinding&) = delete;
-  ScopedInjectorBinding& operator=(const ScopedInjectorBinding&) = delete;
-
- private:
-  threadctx::Slots prev_;
-};
-
 /// Installs a fault plan for the current scope (a benchmark run): specs,
 /// step gate cleared, failed-rank mask cleared, retry policy published.
 /// Restores the empty plan on destruction.  An empty FaultOptions installs
-/// nothing, so healthy runs never even construct injector state.  The plan
-/// lands in the thread's current() injector — the process default for the
-/// CLI/tests, the job's own injector under the service scheduler.
+/// nothing, so healthy runs never even construct injector state.
 class ScopedFaultSession {
  public:
   explicit ScopedFaultSession(const FaultOptions& opts)
-      : inj_(current()), armed_(opts.armed()) {
+      : inj_(Injector::instance()), armed_(opts.armed()) {
     inj_.set_retry_policy(opts.max_retries, opts.backoff_ms,
                           opts.allow_degraded);
     if (armed_) inj_.install(opts.specs);
@@ -215,13 +170,17 @@ class ScopedFaultSession {
 };
 
 /// Free-function hook forms, so call sites stay one short line.
-inline void on_site(Site site, int rank) { current().on_site(site, rank); }
-inline double poison(int rank, double value) {
-  return current().poison(rank, value);
+inline void on_site(Site site, int rank) {
+  Injector::instance().on_site(site, rank);
 }
-inline bool should_fail_alloc() { return current().should_fail_alloc(); }
+inline double poison(int rank, double value) {
+  return Injector::instance().poison(rank, value);
+}
+inline bool should_fail_alloc() {
+  return Injector::instance().should_fail_alloc();
+}
 inline bool should_corrupt(Site site, int rank) {
-  return current().should_corrupt(site, rank);
+  return Injector::instance().should_corrupt(site, rank);
 }
 
 }  // namespace npb::fault

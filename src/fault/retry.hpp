@@ -167,7 +167,7 @@ class StepRunner {
   /// and triggers the same restore/retry path as a thrown fault.
   template <class Body, class Healthy>
   void step(long step_no, Body&& body, Healthy&& healthy) {
-    Injector& inj = current();
+    Injector& inj = Injector::instance();
     // A running watchdog keeps the retry machinery engaged even without
     // injection specs, so a genuinely hung rank (the watchdog's real-world
     // case) still gets restore-and-retry instead of propagating
@@ -204,7 +204,7 @@ class StepRunner {
   /// step's flush runs inside it.
   template <class Body, class Healthy>
   void run_until_clean(long step_no, Body& body, Healthy& healthy) {
-    Injector& inj = current();
+    Injector& inj = Injector::instance();
     save();
     int attempts = 0;
     for (;;) {
@@ -238,7 +238,7 @@ class StepRunner {
   /// Commits the live spans at `step_no`, rewriting them while the readback
   /// fails (the live spans are only read, so nothing needs restoring).
   void flush(long step_no) {
-    Injector& inj = current();
+    Injector& inj = Injector::instance();
     for (int attempts = 1;; ++attempts) {
       // Still inside the injection window: a ckpt:corrupt spec decides here
       // whether this write commits a bit-flipped payload.
@@ -258,7 +258,7 @@ class StepRunner {
 
   /// Linear backoff: attempt k sleeps k * --backoff-ms.
   static void back_off(int attempts) {
-    const int ms = current().backoff_ms();
+    const int ms = Injector::instance().backoff_ms();
     if (ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(ms * attempts));
   }
@@ -267,7 +267,7 @@ class StepRunner {
   /// (every injection site and the watchdog call note_failed) and retry at
   /// the smaller width.  Unattributed failures shrink by one.
   void degrade(long step_no) {
-    Injector& inj = current();
+    Injector& inj = Injector::instance();
     if (!inj.allow_degraded() || width_ <= 1)
       throw RecoveryExhausted(
           "fault recovery exhausted at step " + std::to_string(step_no) +
@@ -280,7 +280,6 @@ class StepRunner {
     degraded_ = std::make_unique<WorkerTeam>(nw, topts_);
     width_ = nw;
     inj.clear_failed();
-    inj.note_degraded(nw);
     obs::ObsRegistry::instance().record(obs::counter_id("fault/degraded_width"),
                                         -1, static_cast<double>(nw));
   }

@@ -33,8 +33,8 @@ RunResult run_ft(const RunConfig& cfg) {
   // contiguous double lanes don't map onto, so --mode=vec runs the native
   // instantiation (bit-identical; Exact tier).
   const FtOutput o = cfg.mode == Mode::Java
-                         ? ft_run<Checked>(p, cfg.threads, topts, cfg.team)
-                         : ft_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                         ? ft_run<Checked>(p, cfg.threads, topts)
+                         : ft_run<Unchecked>(p, cfg.threads, topts);
 
   RunResult r;
   r.name = "FT";

@@ -200,16 +200,15 @@ inline void initial_value(std::size_t e, double& vre, double& vim) {
 }
 
 template <class P>
-FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts) {
   // Team first, then allocation: under FirstTouch the big field arrays are
   // committed slab-by-slab on the ranks whose i1-planes they hold — FT's
   // memory-pressure collapse in the paper is exactly the cost of streaming
   // the whole field out of one node.  The slabs are static under every
   // --schedule, as FT's loops are.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   const FtState<P> st(p.n1, p.n2, p.n3);
@@ -421,7 +420,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template FtOutput ft_run<Unchecked>(const FtParams&, int, const TeamOptions&, WorkerTeam*);
-extern template FtOutput ft_run<Checked>(const FtParams&, int, const TeamOptions&, WorkerTeam*);
+extern template FtOutput ft_run<Unchecked>(const FtParams&, int, const TeamOptions&);
+extern template FtOutput ft_run<Checked>(const FtParams&, int, const TeamOptions&);
 
 }  // namespace npb::ft_detail

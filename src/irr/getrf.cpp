@@ -118,9 +118,9 @@ RunResult run_getrf_irr(const RunConfig& cfg) {
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
-  std::optional<TeamRef> team_storage;
-  if (cfg.threads > 0) team_storage.emplace(cfg.threads, topts, cfg.team);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (cfg.threads > 0) team_storage.emplace(cfg.threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
 
   const long n = p.n;
   std::vector<double> pristine(static_cast<std::size_t>(n * n));

@@ -44,8 +44,8 @@ RunResult run_sort(const RunConfig& cfg);
 RunResult run_knn(const RunConfig& cfg);
 RunResult run_getrf_irr(const RunConfig& cfg);
 
-/// The irregular workloads (SORT, KNN, GETRF), reusing BenchmarkInfo so CLI
-/// and service plumbing handle both suites uniformly; structured_grid is
+/// The irregular workloads (SORT, KNN, GETRF), reusing BenchmarkInfo so the
+/// CLI handles both suites uniformly; structured_grid is
 /// false for all three (they are the opposite of a structured grid).
 const std::vector<BenchmarkInfo>& irr_suite();
 

@@ -31,8 +31,8 @@ RunResult run_is(const RunConfig& cfg) {
   // --mode=vec runs the native instantiation (bit-identical; Exact tier).
   const IsOutput o =
       cfg.mode == Mode::Java
-          ? is_run<Checked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts, cfg.team)
-          : is_run<Unchecked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts, cfg.team);
+          ? is_run<Checked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts)
+          : is_run<Unchecked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts);
 
   RunResult r;
   r.name = "IS";

@@ -62,14 +62,13 @@ void is_rank_serial(const Array1<int, P>& keys, long nkeys, Array1<int, P>& hist
 
 template <class P>
 IsOutput is_run(const long nkeys, const long max_key, const int iterations,
-                int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+                int threads, const TeamOptions& topts) {
   // Team before the key/histogram arrays so FirstTouch commits each rank's
   // key slice locally.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
   const mem::ScopedTeamPlacement placement(
-      team_storage ? team_storage->get() : nullptr, topts.schedule);
+      team_storage ? &*team_storage : nullptr, topts.schedule);
 
   Array1<int, P> keys(static_cast<std::size_t>(nkeys));
   Array1<int, P> hist(static_cast<std::size_t>(max_key));
@@ -103,7 +102,7 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
     }
     out.seconds = wtime() - t0;
   } else {
-    WorkerTeam& team = **team_storage;
+    WorkerTeam& team = *team_storage;
     // Per-thread private histograms (NPB OpenMP's work buffers).
     Array2<int, P> thread_hist(static_cast<std::size_t>(threads),
                                static_cast<std::size_t>(max_key));
@@ -234,7 +233,7 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
   return out;
 }
 
-extern template IsOutput is_run<Unchecked>(long, long, int, int, const TeamOptions&, WorkerTeam*);
-extern template IsOutput is_run<Checked>(long, long, int, int, const TeamOptions&, WorkerTeam*);
+extern template IsOutput is_run<Unchecked>(long, long, int, int, const TeamOptions&);
+extern template IsOutput is_run<Checked>(long, long, int, int, const TeamOptions&);
 
 }  // namespace npb::is_detail

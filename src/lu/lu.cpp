@@ -31,8 +31,8 @@ RunResult run_lu(const RunConfig& cfg) {
   // block solve (wavefront order), so --mode=vec runs the native
   // instantiation (bit-identical; Exact tier).
   const AppOutput o = cfg.mode == Mode::Java
-                          ? lu_run<Checked>(p, cfg.threads, topts, cfg.team)
-                          : lu_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                          ? lu_run<Checked>(p, cfg.threads, topts)
+                          : lu_run<Unchecked>(p, cfg.threads, topts);
 
   // Per point per iteration: RHS stencil (~500 flops) plus two relaxation
   // sweeps of ~600 flops each (block builds, couplings, factor, solve).
@@ -55,8 +55,8 @@ RunResult run_lu_hp(const RunConfig& cfg) {
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
   const AppOutput o = cfg.mode == Mode::Java
-                          ? lu_run_hp<Checked>(p, cfg.threads, topts, cfg.team)
-                          : lu_run_hp<Unchecked>(p, cfg.threads, topts, cfg.team);
+                          ? lu_run_hp<Checked>(p, cfg.threads, topts)
+                          : lu_run_hp<Unchecked>(p, cfg.threads, topts);
 
   const double pts = static_cast<double>((p.n - 2)) * static_cast<double>((p.n - 2)) *
                      static_cast<double>((p.n - 2));

@@ -135,15 +135,14 @@ void relax_upper(Fields<P>& f, double dt, long i, long j, long k, CellWork<P>& w
 }
 
 template <class P>
-AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.  The sweeps split planes statically
   // under every --schedule, so placement does too.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
@@ -307,15 +306,14 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
 /// the results are bitwise identical to lu_run's — only the synchronization
 /// pattern (and hence scalability) differs.
 template <class P>
-AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.  The sweeps split planes statically
   // under every --schedule, so placement does too.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
@@ -457,9 +455,9 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template AppOutput lu_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run_hp<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run_hp<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+extern template AppOutput lu_run<Unchecked>(const AppParams&, int, const TeamOptions&);
+extern template AppOutput lu_run<Checked>(const AppParams&, int, const TeamOptions&);
+extern template AppOutput lu_run_hp<Unchecked>(const AppParams&, int, const TeamOptions&);
+extern template AppOutput lu_run_hp<Checked>(const AppParams&, int, const TeamOptions&);
 
 }  // namespace npb::lu_detail

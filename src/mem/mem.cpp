@@ -16,16 +16,12 @@ namespace {
 
 // Each thread that installs a scoped config owns its own context storage and
 // publishes its address through the threadctx slot; team workers inherit the
-// dispatching master's slot, so they see the job's context rather than a
+// dispatching master's slot, so they see their run's context rather than a
 // process-wide one.  Threads with an empty slot (nothing ever installed) read
 // their default-constructed local context — the old global-default behavior.
 thread_local detail::Context t_context;
 
 bool is_pow2(std::size_t v) noexcept { return v != 0 && (v & (v - 1)) == 0; }
-
-std::size_t round_up(std::size_t v, std::size_t to) noexcept {
-  return (v + to - 1) / to * to;
-}
 
 }  // namespace
 
@@ -237,14 +233,6 @@ ScopedMemConfig::ScopedMemConfig(const MemOptions& options)
     : saved_(detail::context()) {
   detail::Context next = saved_;
   next.options = options;
-  detail::exchange_context(next);
-}
-
-ScopedMemConfig::ScopedMemConfig(const MemOptions& options, Arena* arena)
-    : saved_(detail::context()) {
-  detail::Context next = saved_;
-  next.options = options;
-  next.arena = arena;
   detail::exchange_context(next);
 }
 

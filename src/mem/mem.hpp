@@ -20,7 +20,7 @@
 //                     (FirstTouch), so each rank faults its slab onto its
 //                     own node.
 //   Arena             a pool that hands shape-identical buffers back across
-//                     benchmark reps and bench-table sweeps instead of
+//                     benchmark reps and npbrun's "all" sweep instead of
 //                     re-allocating (and re-placing) from scratch.
 //
 // A benchmark run installs its MemOptions/team via the scoped context below;
@@ -106,9 +106,9 @@ void raw_free(void* p) noexcept;
 /// The installed allocation policy.  Per-thread storage published through a
 /// threadctx slot: worker threads allocating per-rank scratch inside a team
 /// region inherit the dispatching master's slot (WorkerTeam::dispatch
-/// snapshots it), so they see the arena/options that job installed — and two
-/// jobs running concurrently under the service scheduler each see their own.
-/// Mutation is master-only, between team regions, exactly as before.
+/// snapshots it), so they see the arena/options their run installed — and
+/// in-process msg ranks, each a master of its own, each see their own.
+/// Mutation is master-only, between team regions.
 struct Context {
   MemOptions options{};
   Arena* arena = nullptr;
@@ -142,13 +142,12 @@ Allocation acquire(std::size_t bytes, std::size_t min_alignment);
 /// Releases a buffer to its arena (keeping it warm for reuse) or frees it.
 void release(const Allocation& a) noexcept;
 
-/// Installs allocation options (and optionally an arena) for the current
-/// scope; restores the previous context on destruction.  The team/schedule
-/// of the previous context are preserved.
+/// Installs allocation options for the current scope; restores the
+/// previous context on destruction.  The arena, team and schedule of the
+/// previous context are preserved.
 class ScopedMemConfig {
  public:
   explicit ScopedMemConfig(const MemOptions& options);
-  ScopedMemConfig(const MemOptions& options, Arena* arena);
   ~ScopedMemConfig();
   ScopedMemConfig(const ScopedMemConfig&) = delete;
   ScopedMemConfig& operator=(const ScopedMemConfig&) = delete;
@@ -157,8 +156,8 @@ class ScopedMemConfig {
   detail::Context saved_;
 };
 
-/// Installs an arena only (options inherited) — used by the drivers that own
-/// a per-invocation pool (npbrun, the bench tables).
+/// Installs an arena only (options inherited) — used by npbrun and the
+/// perfbench driver, which each own one pool per invocation.
 class ScopedArena {
  public:
   explicit ScopedArena(Arena* arena);

@@ -30,10 +30,10 @@ RunResult run_mg(const RunConfig& cfg) {
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
   const MgOutput o = cfg.mode == Mode::Java
-                         ? mg_run<Checked>(p, cfg.threads, topts, cfg.team)
+                         ? mg_run<Checked>(p, cfg.threads, topts)
                          : cfg.mode == Mode::Vec
-                               ? mg_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                               : mg_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                               ? mg_run<Unchecked, true>(p, cfg.threads, topts)
+                               : mg_run<Unchecked>(p, cfg.threads, topts);
 
   RunResult r;
   r.name = "MG";

@@ -329,16 +329,15 @@ void over_planes(WorkerTeam* team, Schedule sched, long n, const F& body) {
 }
 
 template <class P, bool V = false>
-MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
   const int lt = prm.log2_n;
   const long n = 1L << lt;
 
   // Team before grids: a FirstTouch placement then commits every level's
   // pages plane-slab by plane-slab on the ranks that will smooth them.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  std::optional<WorkerTeam> team_storage;
+  if (threads > 0) team_storage.emplace(threads, topts);
+  WorkerTeam* team = team_storage ? &*team_storage : nullptr;
   const Schedule sched = topts.schedule;
   const mem::ScopedTeamPlacement placement(team, sched);
 
@@ -516,8 +515,8 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template MgOutput mg_run<Unchecked>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template MgOutput mg_run<Checked>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template MgOutput mg_run<Unchecked, true>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
+extern template MgOutput mg_run<Unchecked>(const MgParams&, int, const TeamOptions&);
+extern template MgOutput mg_run<Checked>(const MgParams&, int, const TeamOptions&);
+extern template MgOutput mg_run<Unchecked, true>(const MgParams&, int, const TeamOptions&);
 
 }  // namespace npb::mg_detail

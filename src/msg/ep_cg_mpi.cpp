@@ -27,7 +27,7 @@ RunResult run_ep_msg(const RunConfig& cfg) {
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     comm.barrier();
-    fault::current().set_step(1);
+    fault::Injector::instance().set_step(1);
     const double t0 = wtime();
     const Range r = partition(0, nblocks, comm.rank(), comm.size());
     // One accumulator per block, folded in block order below: the result is
@@ -58,7 +58,7 @@ RunResult run_ep_msg(const RunConfig& cfg) {
     comm.allreduce_sum(local);
     comm.barrier();
     const double seconds = wtime() - t0;
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
     std::vector<double> payload{seconds};
     if (comm.rank() == 0)
       payload.insert(payload.end(), local.begin(), local.end());
@@ -157,7 +157,7 @@ RunResult run_cg_msg(const RunConfig& cfg) {
     double zeta = 0.0, rnorm = 0.0, zeta_sum = 0.0;
 
     for (int outer = 1; outer <= p.niter; ++outer) {
-      fault::current().set_step(outer);
+      fault::Injector::instance().set_step(outer);
       // conj_grad, message-passing form.
       pfor([&](long lo, long hi) {
         for (long i = lo; i < hi; ++i) {
@@ -233,7 +233,7 @@ RunResult run_cg_msg(const RunConfig& cfg) {
     }
     comm.barrier();
     const double seconds = wtime() - t0;
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
     std::vector<double> payload{seconds};
     if (comm.rank() == 0) {
       payload.push_back(zeta);

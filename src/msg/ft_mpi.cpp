@@ -174,7 +174,7 @@ RunResult run_ft_msg(const RunConfig& cfg) {
     }
 
     comm.barrier();
-    fault::current().set_step(0);
+    fault::Injector::instance().set_step(0);
     const double t0 = wtime();
 
     const auto s23 = static_cast<std::size_t>(s.n2) * static_cast<std::size_t>(s.n3);
@@ -217,7 +217,7 @@ RunResult run_ft_msg(const RunConfig& cfg) {
     std::vector<double> checks(static_cast<std::size_t>(2 * niter), 0.0);
 
     for (int t = 1; t <= niter; ++t) {
-      fault::current().set_step(t);
+      fault::Injector::instance().set_step(t);
       auto fill_decay = [&](std::vector<double>& e, long n) {
         for (long k = 0; k < n; ++k) {
           const long kt = k <= n / 2 ? k : k - n;
@@ -295,7 +295,7 @@ RunResult run_ft_msg(const RunConfig& cfg) {
     }
     comm.barrier();
     const double seconds = wtime() - t0;
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
     std::vector<double> payload{seconds};
     if (comm.rank() == 0)
       payload.insert(payload.end(), checks.begin(), checks.end());

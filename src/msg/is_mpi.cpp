@@ -63,7 +63,7 @@ RunResult run_is_msg(const RunConfig& cfg) {
     comm.barrier();
     const double t0 = wtime();
     for (int it = 1; it <= p.iterations; ++it) {
-      fault::current().set_step(it);
+      fault::Injector::instance().set_step(it);
       // The two global per-iteration modifications, applied by the owners.
       auto modify = [&](long gidx, int value) {
         if (gidx >= my.lo && gidx < my.hi)
@@ -108,7 +108,7 @@ RunResult run_is_msg(const RunConfig& cfg) {
     }
     comm.barrier();
     const double seconds = wtime() - t0;
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
 
     // ---- untimed full verification: redistribute keys by value range ----
     // (the NPB-MPI IS pattern: bucket boundaries split max_key evenly).

@@ -70,7 +70,7 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
       for (const int r : res.lost_ranks) {
         // 1 in the lost rank's slot: the per-rank slots name the shard.
         reg.record(obs::counter_id("fault/lost_shard"), r, 1.0);
-        fault::current().note_failed(r);
+        fault::Injector::instance().note_failed(r);
       }
       lost_total += static_cast<int>(res.lost_ranks.size());
       if (!cfg.fault.allow_degraded)
@@ -83,7 +83,6 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
         throw std::runtime_error("msg: no viable width left after losing " +
                                  std::to_string(lost_total) + " shard(s)");
       width = next;
-      fault::current().note_degraded(width);
       reg.record(obs::counter_id("fault/degraded_width"), -1,
                  static_cast<double>(width));
       continue;

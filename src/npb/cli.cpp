@@ -1,68 +1,15 @@
-#include "svc/cli.hpp"
-
-#include <cstring>
+#include "npb/cli.hpp"
 
 #include "irr/irr.hpp"
+#include "npb/options.hpp"
 #include "npb/registry.hpp"
-#include "svc/options.hpp"
 
-namespace npb::svc {
+namespace npb::cli {
 namespace {
 
-bool fail(std::string* error, const std::string& what) {
+std::nullopt_t fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
-  return false;
-}
-
-/// "1,2,2,3" -> {1,2,2,3}; widths 0..32 (0 = a serial slot).
-bool parse_pool_widths(const char* s, std::vector<int>& out,
-                       std::string* error) {
-  out.clear();
-  std::string tok;
-  for (const char* p = s;; ++p) {
-    if (*p != '\0' && *p != ',') {
-      tok += *p;
-      continue;
-    }
-    const auto w = parse_count(tok);
-    if (!w || *w > 32)
-      return fail(error,
-                  "bad pool width '" + tok + "' (want 0..32, comma-separated)");
-    out.push_back(*w);
-    tok.clear();
-    if (*p == '\0') break;
-  }
-  return !out.empty();
-}
-
-bool parse_serve_args(int argc, const char* const* argv, CliOptions& opts,
-                      std::string* error) {
-  opts.action = CliOptions::Action::Serve;
-  const char* first = argv[1];
-  if (std::strncmp(first, "--serve=", 8) == 0) opts.serve_input = first + 8;
-  for (int i = 2; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--pool=", 7) == 0) {
-      if (!parse_pool_widths(a + 7, opts.pool_widths, error)) {
-        if (error != nullptr && error->empty())
-          *error = "bad pool spec '" + std::string(a + 7) + "'";
-        return false;
-      }
-    } else if (std::strncmp(a, "--queue-cap=", 12) == 0) {
-      const auto v = parse_count(a + 12);
-      if (!v || *v < 1)
-        return fail(error, "bad queue capacity '" + std::string(a + 12) +
-                               "' (want a number >= 1)");
-      opts.queue_capacity = static_cast<std::size_t>(*v);
-    } else if (std::strncmp(a, "--service-report=", 17) == 0) {
-      opts.service_report = a + 17;
-    } else if (std::strcmp(a, "--verbose") == 0) {
-      opts.verbose = true;
-    } else {
-      return fail(error, "unknown --serve argument '" + std::string(a) + "'");
-    }
-  }
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -79,8 +26,6 @@ std::string usage_text() {
       "              [--max-retries=N] [--backoff-ms=N] [--no-degrade]\n"
       "              [--ckpt-dir=DIR] [--ckpt-every=N] [--resume[=PATH]]\n"
       "              [--obs-report=FILE]\n"
-      "       npbrun --serve[=JOBS.ndjson] [--pool=W,W,...] [--queue-cap=N]\n"
-      "              [--service-report=FILE] [--verbose]\n"
       "--mem-align takes a power of two (K/M suffixes allowed); --first-touch\n"
       "initializes large arrays on the worker team with the compute schedule;\n"
       "--huge-pages requests 2 MiB pages for buffers that large (Linux hint).\n"
@@ -122,34 +67,19 @@ std::string usage_text() {
       "the result must verify exactly as an uninterrupted run.  SIGINT or\n"
       "SIGTERM flushes a final checkpoint plus the partial obs report first.\n"
       "Exit codes: 0 verified, 1 verification failed, 2 usage error, 3 could\n"
-      "not run or recover, 4 interrupted but checkpointed (resumable).\n"
-      "--serve reads one JSON job spec per line (file or stdin), runs them\n"
-      "concurrently on a pooled team runtime, and emits a service JSON\n"
-      "(per-job results + latency/utilization aggregates).\n";
+      "not run or recover, 4 interrupted but checkpointed (resumable).\n";
 }
 
 std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
                                             std::string* error) {
   if (error != nullptr) error->clear();
-  if (argc < 2) {
-    fail(error, "");
-    return std::nullopt;
-  }
+  if (argc < 2) return fail(error, "");
   CliOptions opts;
-
-  if (std::strcmp(argv[1], "--serve") == 0 ||
-      std::strncmp(argv[1], "--serve=", 8) == 0) {
-    if (!parse_serve_args(argc, argv, opts, error)) return std::nullopt;
-    return opts;
-  }
-
   opts.which = argv[1];
   if (opts.which != "all" && opts.which != "ALL" &&
       find_benchmark(opts.which) == nullptr &&
-      find_irr_benchmark(opts.which) == nullptr) {
-    fail(error, "unknown benchmark '" + opts.which + "'");
-    return std::nullopt;
-  }
+      find_irr_benchmark(opts.which) == nullptr)
+    return fail(error, "unknown benchmark '" + opts.which + "'");
   GivenOptions given;
   for (int i = 2; i < argc; ++i) {
     const std::string_view a = argv[i];
@@ -158,22 +88,17 @@ std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
     } else if (a.starts_with("--obs-report=")) {
       opts.obs_report = a.substr(13);
     } else if (const RunOption* row = find_flag(a)) {
-      if (const std::string err = apply_flag(*row, a, opts.cfg); !err.empty()) {
-        fail(error, err);
-        return std::nullopt;
-      }
+      if (const std::string err = apply_flag(*row, a, opts.cfg); !err.empty())
+        return fail(error, err);
       given.push_back(row);
     } else {
-      fail(error, "unknown argument '" + std::string(a) + "'");
-      return std::nullopt;
+      return fail(error, "unknown argument '" + std::string(a) + "'");
     }
   }
   if (const std::string err = check_run_config(opts.cfg, opts.which, given);
-      !err.empty()) {
-    fail(error, err);
-    return std::nullopt;
-  }
+      !err.empty())
+    return fail(error, err);
   return opts;
 }
 
-}  // namespace npb::svc
+}  // namespace npb::cli

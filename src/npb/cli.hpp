@@ -4,15 +4,14 @@
 // in-process (the fuzz battery in test_cli feeds it random malformed flags
 // and asserts it always rejects with a message, never crashes, and never
 // returns a half-parsed config).  npbrun's main() is a thin shell over this.
-// The run flags are the rows of the run-option table (svc/options.hpp).
+// The run flags are the rows of the run-option table (npb/options.hpp).
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "npb/run.hpp"
 
-namespace npb::svc {
+namespace npb::cli {
 
 /// npbrun's exit-code taxonomy, pinned by test_cli and documented in the
 /// README.  Wrappers and CI distinguish "the numbers were wrong" (1) from
@@ -25,24 +24,10 @@ inline constexpr int kExitUnrecoverable = 3;
 inline constexpr int kExitInterrupted = 4;
 
 struct CliOptions {
-  enum class Action {
-    RunBenchmarks,  ///< classic one-shot mode: run `which` with `cfg`
-    Serve,          ///< --serve: read NDJSON job specs, run the scheduler
-  };
-
-  Action action = Action::RunBenchmarks;
-
-  // RunBenchmarks
   std::string which;  ///< benchmark name or "all" (validated against suite())
   RunConfig cfg;
   bool verbose = false;
   std::string obs_report;
-
-  // Serve
-  std::string serve_input;     ///< job-spec file; empty = stdin
-  std::string service_report;  ///< service JSON output file; empty = stdout
-  std::vector<int> pool_widths{1, 2, 3};
-  std::size_t queue_capacity = 64;
 };
 
 /// Usage text (the same block main() prints on error), without the trailing
@@ -55,4 +40,4 @@ std::string usage_text();
 std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
                                             std::string* error);
 
-}  // namespace npb::svc
+}  // namespace npb::cli

@@ -1,4 +1,4 @@
-#include "svc/options.hpp"
+#include "npb/options.hpp"
 
 #include <algorithm>
 
@@ -10,7 +10,7 @@
 #include "msg/options.hpp"
 #include "par/schedule.hpp"
 
-namespace npb::svc {
+namespace npb::cli {
 
 std::optional<int> parse_count(std::string_view text) {
   if (text.empty() || text.size() > 9) return std::nullopt;
@@ -39,20 +39,20 @@ std::string no_value(const char* flag, Text text) {
 }
 
 const RunOption kRows[] = {
-    {"--class", "class", JsonType::String,
+    {"--class",
      [](RunConfig& cfg, Text t) {
        const auto c = parse_class(t);
        if (c) cfg.cls = *c;
        return unless_bad(c.has_value(), "class", t);
      }},
-    {"--mode", "mode", JsonType::String,
+    {"--mode",
      [](RunConfig& cfg, Text t) {
        const auto m = parse_mode(t);
        if (m) cfg.mode = *m;
        return unless_bad(m.has_value(), "mode", t,
                          " (want native, java, vec or msg)");
      }},
-    {"--procs", "", JsonType::Integer,
+    {"--procs",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        const bool ok = v && *v >= 1 && *v <= msg::kMaxShmProcs;
@@ -60,64 +60,64 @@ const RunOption kRows[] = {
        return unless_bad(ok, "proc count", t,
                          " (want 1.." + std::to_string(msg::kMaxShmProcs) + ")");
      }},
-    {"--transport", "", JsonType::String,
+    {"--transport",
      [](RunConfig& cfg, Text t) {
        const auto k = msg::parse_transport(t);
        if (k) cfg.msg.transport = *k;
        return unless_bad(k.has_value(), "transport", t,
                          " (want inproc or shm)");
      }},
-    {"--runtime", "runtime", JsonType::String,
+    {"--runtime",
      [](RunConfig& cfg, Text t) {
        const auto rt = parse_runtime(t);
        if (rt) cfg.runtime = *rt;
        return unless_bad(rt.has_value(), "runtime", t, " (want spmd or steal)");
      }},
-    {"--threads", "threads", JsonType::Integer,
+    {"--threads",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        if (v) cfg.threads = *v;
        return unless_bad(v.has_value(), "thread count", t,
                          " (want a number >= 0)");
      }},
-    {"--barrier", "barrier", JsonType::String,
+    {"--barrier",
      [](RunConfig& cfg, Text t) {
        const bool ok = t == "spin" || t == "condvar";
        if (ok) cfg.barrier = t == "spin" ? BarrierKind::SpinSense
                                         : BarrierKind::CondVar;
        return unless_bad(ok, "barrier", t, " (want condvar or spin)");
      }},
-    {"--warmup", "warmup", JsonType::Switch,
+    {"--warmup",
      [](RunConfig& cfg, Text t) {
        if (t.empty()) cfg.warmup_spins = kWarmupSpins;
        return no_value("--warmup", t);
      }},
-    {"--schedule", "schedule", JsonType::String,
+    {"--schedule",
      [](RunConfig& cfg, Text t) {
        const auto s = parse_schedule(t);
        if (s) cfg.schedule = *s;
        return unless_bad(s.has_value(), "schedule", t,
                          " (want static, dynamic[,CHUNK] or guided[,MIN_CHUNK])");
      }},
-    {"--fused", "fused", JsonType::OnOff,
+    {"--fused",
      [](RunConfig& cfg, Text t) {
        const bool ok = t == "on" || t == "off";
        if (ok) cfg.fused = t == "on";
        return unless_bad(ok, "fused value", t, " (want on or off)");
      }},
-    {"--mem-align", "align", JsonType::Integer,
+    {"--mem-align",
      [](RunConfig& cfg, Text t) {
        const auto al = mem::parse_alignment(t);
        if (al) cfg.mem.alignment = *al;
        return unless_bad(al.has_value(), "alignment", t,
                          " (want a power of two)");
      }},
-    {"--first-touch", "first_touch", JsonType::Switch,
+    {"--first-touch",
      [](RunConfig& cfg, Text t) {
        if (t.empty()) cfg.mem.placement = mem::Placement::FirstTouch;
        return no_value("--first-touch", t);
      }},
-    {"--huge-pages", "huge_pages", JsonType::Switch,
+    {"--huge-pages",
      [](RunConfig& cfg, Text t) {
        if (t.empty()) cfg.mem.huge_pages = true;
        return no_value("--huge-pages", t);
@@ -125,7 +125,7 @@ const RunOption kRows[] = {
     // One spec, or a comma-separated list (a spec's own grammar is all
     // colons, so the comma is unambiguous).  Strict: any malformed entry,
     // including an empty one from a stray comma, rejects the whole value.
-    {"--fault-spec", "faults", JsonType::StringList,
+    {"--fault-spec",
      [](RunConfig& cfg, Text t) -> std::string {
        std::vector<fault::FaultSpec> specs;
        for (std::size_t start = 0, end = 0; end != Text::npos;
@@ -146,38 +146,38 @@ const RunOption kRows[] = {
                               specs.end());
        return {};
      }},
-    {"--watchdog-ms", "watchdog_ms", JsonType::Integer,
+    {"--watchdog-ms",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        if (v) cfg.fault.watchdog_ms = *v;
        return unless_bad(v.has_value(), "watchdog timeout", t,
                          " (want ms >= 0)");
      }},
-    {"--max-retries", "max_retries", JsonType::Integer,
+    {"--max-retries",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        if (v) cfg.fault.max_retries = *v;
        return unless_bad(v.has_value(), "retry count", t,
                          " (want a number >= 0)");
      }},
-    {"--backoff-ms", "backoff_ms", JsonType::Integer,
+    {"--backoff-ms",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        if (v) cfg.fault.backoff_ms = *v;
        return unless_bad(v.has_value(), "backoff", t, " (want ms >= 0)");
      }},
-    {"--no-degrade", "no_degrade", JsonType::Switch,
+    {"--no-degrade",
      [](RunConfig& cfg, Text t) {
        if (t.empty()) cfg.fault.allow_degraded = false;
        return no_value("--no-degrade", t);
      }},
-    {"--ckpt-dir", "ckpt_dir", JsonType::String,
+    {"--ckpt-dir",
      [](RunConfig& cfg, Text t) -> std::string {
        if (t.empty()) return "--ckpt-dir needs a directory path";
        cfg.ckpt.dir = t;
        return {};
      }},
-    {"--ckpt-every", "ckpt_every", JsonType::Integer,
+    {"--ckpt-every",
      [](RunConfig& cfg, Text t) {
        const auto v = parse_count(t);
        const bool ok = v && *v >= 1;
@@ -186,7 +186,7 @@ const RunOption kRows[] = {
                          " (want a step count >= 1)");
      }},
     // Bare: resume from the file --ckpt-dir names; =PATH: from PATH.
-    {"--resume", "resume", JsonType::Switch,
+    {"--resume",
      [](RunConfig& cfg, Text t) {
        cfg.ckpt.resume = true;
        if (!t.empty()) cfg.ckpt.resume_path = t;
@@ -203,12 +203,6 @@ const RunOption* find_flag(std::string_view arg) {
     if (arg.starts_with(row.flag) &&
         (arg.size() == row.flag.size() || arg[row.flag.size()] == '='))
       return &row;
-  return nullptr;
-}
-
-const RunOption* find_key(std::string_view key) {
-  for (const RunOption& row : kRows)
-    if (!row.key.empty() && row.key == key) return &row;
   return nullptr;
 }
 
@@ -263,4 +257,4 @@ std::string check_run_config(const RunConfig& cfg, std::string_view which,
   return {};
 }
 
-}  // namespace npb::svc
+}  // namespace npb::cli

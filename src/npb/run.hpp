@@ -17,7 +17,7 @@
 
 namespace npb {
 
-/// Priming spins per worker that --warmup (job key "warmup") requests: the
+/// Priming spins per worker that --warmup requests: the
 /// paper's CG thread warm-up fix (see TeamOptions::warmup_spins).
 inline constexpr long kWarmupSpins = 1000000;
 
@@ -61,27 +61,20 @@ struct RunConfig {
   /// step-carried state every --ckpt-every steps, --resume restores the
   /// newest checkpoint and continues from the step after it.  Inactive by
   /// default; requires a threaded (threads >= 1) shared-memory run — npbrun
-  /// and the service reject serial and msg-mode combinations up front.
+  /// rejects serial and msg-mode combinations up front.
   ckpt::CkptOptions ckpt{};
-  /// Pooled team to run on (service scheduler checkout), or null to build a
-  /// private team.  Borrowed only when its width and TeamOptions match the
-  /// request exactly (see TeamRef); a mismatch silently builds a private
-  /// team, so a stale pool entry can change performance but never results.
-  WorkerTeam* team = nullptr;
   /// Hybrid sharding for --mode=msg runs: rank-shard count P and which
   /// Transport carries the ranks (threads vs forked processes over shm
   /// rings).  `threads` above is then the per-shard team width T, so one
   /// config describes a P-process x T-thread run.  Ignored by the
-  /// shared-memory modes; a forked shard never borrows `team` (a pooled
-  /// team's threads cannot cross fork()).
+  /// shared-memory modes.
   msg::MsgOptions msg{};
 
   bool operator==(const RunConfig&) const = default;
 };
 
 /// The TeamOptions a run's team is built with: every driver wrapper builds
-/// its team from this, and the service pool builds its leased teams from it,
-/// so a leased team always matches what the driver asks TeamRef for.
+/// its team from this.
 inline TeamOptions team_options(const RunConfig& cfg) {
   return TeamOptions{cfg.barrier, cfg.warmup_spins, cfg.schedule,
                      cfg.fused,   cfg.fault.watchdog_ms, cfg.mode,

@@ -15,8 +15,10 @@ const char* to_string(Schedule::Kind k) noexcept {
 
 std::string to_string(const Schedule& s) {
   std::string out = to_string(s.kind);
-  if (s.kind != Schedule::Kind::Static && s.chunk > 0)
-    out += "," + std::to_string(s.chunk);
+  if (s.kind != Schedule::Kind::Static && s.chunk > 0) {
+    out += ',';
+    out += std::to_string(s.chunk);
+  }
   return out;
 }
 

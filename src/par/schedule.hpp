@@ -51,8 +51,7 @@ struct Schedule {
     return {Kind::Guided, min_chunk};
   }
 
-  /// Identity matters to the service team pool: a pooled team is only
-  /// borrowable when its schedule matches the job's exactly.
+  /// Field-wise identity, so RunConfig's defaulted == can compare configs.
   friend constexpr bool operator==(const Schedule& a,
                                    const Schedule& b) noexcept {
     return a.kind == b.kind && a.chunk == b.chunk;

@@ -42,7 +42,6 @@ WorkerTeam::WorkerTeam(int nthreads, TeamOptions opts)
           nthreads, 0x6e70627461736bULL ^
                         static_cast<std::uint64_t>(nthreads))),
       scratch_(static_cast<std::size_t>(nthreads)),
-      wd_injector_(&fault::current()),
       watchdog_active_(opts.watchdog_ms > 0),
       barrier_entry_(watchdog_active_ ? static_cast<std::size_t>(nthreads)
                                       : 0) {
@@ -83,11 +82,9 @@ void WorkerTeam::dispatch(JobFn invoke, void* ctx) {
     std::unique_lock<std::mutex> lk(m_);
     job_invoke_ = invoke;
     job_ctx_ = ctx;
-    // Hand the caller's job context (mem context, fault injector) to the
-    // workers for the span of this dispatch.  Also point the watchdog at the
-    // caller's injector so blame lands on the job currently running here.
+    // Hand the caller's mem and ckpt contexts to the workers for the span
+    // of this dispatch.
     job_slots_ = threadctx::current();
-    wd_injector_.store(&fault::current(), std::memory_order_release);
     job_issued_at_ = obs_on ? wtime() : 0.0;
     done_ = 0;
     ++generation_;
@@ -144,8 +141,7 @@ void WorkerTeam::worker_main(int rank) {
       slots = job_slots_;
       issued = job_issued_at_;
     }
-    // Run the job under the dispatcher's context (job-scoped mem/fault state
-    // under the service scheduler; null slots = process defaults otherwise).
+    // Run the job under the dispatcher's context (null slots = defaults).
     const threadctx::Slots prev_slots = threadctx::exchange(slots);
     if (obs::kActive && issued > 0.0 &&
         obs::ObsRegistry::instance().enabled())
@@ -217,9 +213,8 @@ void WorkerTeam::watchdog_main() {
               std::memory_order_acquire) > 0.0)
         continue;
       // This rank never reached the barrier its siblings are parked at:
-      // blame it in the injector of the job running here (refreshed at each
-      // dispatch) so degradation shrinks the right tenant's team.
-      wd_injector_.load(std::memory_order_acquire)->note_failed(r);
+      // blame it so degradation shrinks the team by the absent ranks.
+      fault::Injector::instance().note_failed(r);
       reg.record(obs::counter_id("fault/stuck_rank"), r, 1.0);
     }
     reg.record(obs::counter_id("fault/watchdog_fires"), -1, 1.0);

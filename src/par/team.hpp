@@ -90,17 +90,6 @@ struct TeamOptions {
   /// task pool itself exists either way — a handful of empty deques — so
   /// Spmd teams pay nothing but the allocation.
   Runtime runtime = Runtime::Spmd;
-
-  /// Two option sets are interchangeable for team reuse when every knob that
-  /// shapes execution matches.  The service pool rebuilds a pooled team on a
-  /// mismatch (keeping the warm arena) rather than run a job under the wrong
-  /// schedule or watchdog.
-  friend bool operator==(const TeamOptions& a, const TeamOptions& b) noexcept {
-    return a.barrier == b.barrier && a.warmup_spins == b.warmup_spins &&
-           a.schedule == b.schedule && a.fused == b.fused &&
-           a.watchdog_ms == b.watchdog_ms && a.mode == b.mode &&
-           a.runtime == b.runtime;
-  }
 };
 
 /// Thrown by WorkerTeam::barrier() on a rank whose region was aborted because
@@ -131,10 +120,6 @@ class WorkerTeam {
   WorkerTeam& operator=(const WorkerTeam&) = delete;
 
   int size() const noexcept { return n_; }
-
-  /// The full option set this team was built with (the service pool compares
-  /// it against a job's requested options to decide borrow vs rebuild).
-  const TeamOptions& options() const noexcept { return opts_; }
 
   /// The team's default loop schedule (TeamOptions::schedule).
   const Schedule& schedule() const noexcept { return opts_.schedule; }
@@ -256,12 +241,6 @@ class WorkerTeam {
 
   std::vector<std::thread> threads_;
 
-  /// The fault injector the watchdog blames into: refreshed from the
-  /// dispatching thread's binding at every dispatch, so a pooled team built
-  /// by the service scheduler still reports stuck ranks against the job
-  /// *currently* running on it, not the pool's own (default) injector.
-  std::atomic<fault::Injector*> wd_injector_;
-
   /// Watchdog state (inert unless opts_.watchdog_ms > 0).
   const bool watchdog_active_;
   std::vector<detail::PaddedAtomicDouble> barrier_entry_;
@@ -294,38 +273,6 @@ class ReduceScratchGuard {
 
  private:
   WorkerTeam& team_;
-};
-
-/// Owns-or-borrows a WorkerTeam for one benchmark run.  Drivers construct it
-/// with the pooled team the scheduler checked out (possibly null); the run
-/// borrows the pooled team only when it matches the requested shape exactly
-/// (same width, same TeamOptions) and otherwise builds its own — so a
-/// standalone `npbrun bt` behaves exactly as before, while a service job
-/// rides the pool's warm threads.  The borrowed team's lifetime is managed by
-/// the pool; the owned team dies with the ref.
-class TeamRef {
- public:
-  TeamRef(int nthreads, const TeamOptions& opts, WorkerTeam* pooled) {
-    if (pooled != nullptr && pooled->size() == nthreads &&
-        pooled->options() == opts) {
-      team_ = pooled;
-    } else {
-      owned_ = std::make_unique<WorkerTeam>(nthreads, opts);
-      team_ = owned_.get();
-    }
-  }
-
-  TeamRef(const TeamRef&) = delete;
-  TeamRef& operator=(const TeamRef&) = delete;
-
-  WorkerTeam& operator*() noexcept { return *team_; }
-  WorkerTeam* operator->() noexcept { return team_; }
-  WorkerTeam* get() noexcept { return team_; }
-  bool borrowed() const noexcept { return owned_ == nullptr; }
-
- private:
-  std::unique_ptr<WorkerTeam> owned_;
-  WorkerTeam* team_ = nullptr;
 };
 
 }  // namespace npb

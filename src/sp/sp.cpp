@@ -28,10 +28,10 @@ RunResult run_sp(const RunConfig& cfg) {
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
   const AppOutput o = cfg.mode == Mode::Java
-                          ? sp_run<Checked>(p, cfg.threads, topts, cfg.team)
+                          ? sp_run<Checked>(p, cfg.threads, topts)
                           : cfg.mode == Mode::Vec
-                                ? sp_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                                : sp_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+                                ? sp_run<Unchecked, true>(p, cfg.threads, topts)
+                                : sp_run<Unchecked>(p, cfg.threads, topts);
 
   // Per point per iteration: RHS stencil (~500 flops), six 5x5 transforms
   // (~330) and 15 pentadiagonal row eliminations (~300).

@@ -1,5 +1,5 @@
 #include "sp/sp_impl.hpp"
 
 namespace npb::sp_detail {
-template AppOutput sp_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+template AppOutput sp_run<Unchecked>(const AppParams&, int, const TeamOptions&);
 }  // namespace npb::sp_detail

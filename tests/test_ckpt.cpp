@@ -4,8 +4,7 @@
 // CkptError, never a crash or a silently wrong resume), the Session
 // commit/load round trip with its corrupt-commit-keeps-last-good guarantee,
 // the StepRunner's durable step path (resume once, no shadow without
-// rollback, every flush checked, bad writes rewritten and never degraded),
-// and the service-level kill-and-resubmit resume path.
+// rollback, every flush checked, bad writes rewritten and never degraded).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +19,6 @@
 #include "fault/retry.hpp"
 #include "npb/registry.hpp"
 #include "obs/obs.hpp"
-#include "svc/jobspec.hpp"
-#include "svc/scheduler.hpp"
 
 namespace npb {
 namespace {
@@ -71,9 +68,10 @@ void expect_rejected(const std::vector<unsigned char>& bytes,
     ckpt::decode(bytes, meta, nullptr);
     FAIL() << context << ": decode accepted a corrupt image";
   } catch (const ckpt::CkptError& e) {
-    if (!expect.empty())
+    if (!expect.empty()) {
       EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
           << context << ": unexpected message: " << e.what();
+    }
   } catch (const std::exception& e) {
     FAIL() << context << ": wrong exception type: " << e.what();
   }
@@ -430,74 +428,6 @@ TEST(CkptStepRunner, PersistentlyBadWritesExhaustWithoutShrinkingTheTeam) {
   EXPECT_EQ(snap.fault_retries_count, 3u);
 #endif
   EXPECT_EQ(step_on_disk(cfg), 2);
-}
-
-// ---- service layer: killed job resubmitted with resume ---------------------
-
-TEST(SvcCkpt, KilledJobResumesOnResubmitAndVerifies) {
-  const std::string dir = ::testing::TempDir() + "npb_svc_ckpt";
-  std::remove((dir + "/CG-S.ckpt").c_str());
-
-  svc::JobSpec spec;
-  spec.id = "cg-ckpt";
-  spec.benchmark = "CG";
-  spec.cfg.cls = ProblemClass::S;
-  spec.cfg.threads = 2;
-  spec.cfg.ckpt.dir = dir;
-  spec.cfg.ckpt.halt_after_step = 7;  // the deterministic stand-in for a kill
-
-  svc::SchedulerOptions so;
-  so.pool_widths = {2};
-  {
-    svc::JobScheduler sched(so);
-    sched.submit_wait(spec);
-    const auto outs = sched.drain();
-    ASSERT_EQ(outs.size(), 1u);
-    EXPECT_FALSE(outs[0].completed);
-    EXPECT_NE(outs[0].error.find("interrupted after step 7"),
-              std::string::npos)
-        << outs[0].error;
-  }
-  spec.cfg.ckpt.halt_after_step = ckpt::kNoStep;
-  spec.cfg.ckpt.resume = true;
-  {
-    svc::JobScheduler sched(so);
-    sched.submit_wait(spec);
-    const auto outs = sched.drain();
-    ASSERT_EQ(outs.size(), 1u);
-    EXPECT_TRUE(outs[0].completed) << outs[0].error;
-    EXPECT_TRUE(outs[0].verified) << outs[0].result.verify_detail;
-  }
-}
-
-TEST(SvcCkpt, JobSpecParsesCkptKeysAndRejectsBadCombos) {
-  std::string err;
-  const auto ok = svc::parse_job_stream(
-      R"({"benchmark":"CG","threads":2,"ckpt_dir":"ck","ckpt_every":3,"resume":true})"
-      "\n",
-      &err);
-  ASSERT_TRUE(ok.has_value()) << err;
-  ASSERT_EQ(ok->size(), 1u);
-  EXPECT_EQ((*ok)[0].cfg.ckpt.dir, "ck");
-  EXPECT_EQ((*ok)[0].cfg.ckpt.every, 3);
-  EXPECT_TRUE((*ok)[0].cfg.ckpt.resume);
-
-  // resume/ckpt_every without ckpt_dir, empty dir, bad cadence, irregular
-  // workloads: all strict parse errors, never a silently ignored key.
-  const char* bad[] = {
-      R"({"benchmark":"CG","resume":true})",
-      R"({"benchmark":"CG","ckpt_every":2})",
-      R"({"benchmark":"CG","ckpt_dir":""})",
-      R"({"benchmark":"CG","ckpt_dir":"ck","ckpt_every":0})",
-      R"({"benchmark":"SORT","ckpt_dir":"ck"})",
-      R"({"benchmark":"CG","ckpt_dir":"ck"})",
-      R"({"benchmark":"CG","threads":0,"ckpt_dir":"ck","resume":true})",
-  };
-  for (const char* line : bad) {
-    EXPECT_FALSE(svc::parse_job_stream(std::string(line) + "\n", &err)
-                     .has_value())
-        << line << " was accepted";
-  }
 }
 
 }  // namespace

@@ -325,9 +325,9 @@ TEST(ShmTransport, CorruptFrameIsDetectedAndBlamesTheSender) {
   ASSERT_TRUE(spec.has_value());
   fo.specs.push_back(*spec);
   const ShmRunOutcome out = run_shm(2, fo, [](Communicator& c) {
-    fault::current().set_step(1);
+    fault::Injector::instance().set_step(1);
     const double sum = c.allreduce_sum(static_cast<double>(c.rank() + 1));
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
     return std::vector<double>{sum};
   });
   EXPECT_FALSE(out.ok());
@@ -345,13 +345,13 @@ TEST(ShmTransport, CorruptEmptyFrameIsCaughtByTheHeaderCrc) {
   ASSERT_TRUE(spec.has_value());
   fo.specs.push_back(*spec);
   const ShmRunOutcome out = run_shm(2, fo, [](Communicator& c) {
-    fault::current().set_step(1);
+    fault::Injector::instance().set_step(1);
     if (c.rank() == 0) {
       c.send(1, 7, {});  // empty frame: header + stamped CRC of zero bytes
     } else {
       c.recv(0, 7, {});
     }
-    fault::current().set_step(-1);
+    fault::Injector::instance().set_step(-1);
     return std::vector<double>{1.0};
   });
   EXPECT_FALSE(out.ok());

@@ -141,8 +141,8 @@ TEST(ChunkQueueStress, TwoQueuesPerDispatchMatchIsRankingProtocol) {
   EXPECT_EQ(bucket_total.load(), static_cast<long>(iterations) * nbuckets);
 }
 
-// Arena checkout under contention: the service runtime hands one shared
-// Arena to concurrently-running jobs, so acquire/release must be safe from
+// Arena checkout under contention: team workers allocate per-rank scratch
+// from their master's Arena at once, so acquire/release must be safe from
 // many threads at once.  Every rank loops acquire -> write the whole block
 // -> release over a handful of shapes deliberately chosen to collide, so
 // pooled blocks are recycled between threads constantly.  TSan flags any

@@ -1,15 +1,13 @@
 // Command-line suite driver (the analogue of NPB's run scripts): runs any
-// benchmark at any configuration and prints a paper-style result block, or —
-// with --serve — runs a stream of newline-delimited JSON job specs
-// concurrently on the pooled team runtime and emits a service-level JSON.
+// benchmark at any configuration and prints a paper-style result block.
 //
-// Argument parsing lives in src/svc/cli.{hpp,cpp} (so the test suite can
+// Argument parsing lives in src/npb/cli.{hpp,cpp} (so the test suite can
 // fuzz it in-process); this file is the thin I/O shell.  Exit status follows
-// the taxonomy in svc/cli.hpp: 0 all runs verified, 1 a run or job failed
-// verification, 2 malformed argument or job spec (strictly validated, never
-// a silent default), 3 a run could not be carried out or recovered, 4
-// interrupted by SIGINT/SIGTERM at a step boundary with the final
-// checkpoint and a partial obs report flushed (resumable with --resume).
+// the taxonomy in npb/cli.hpp: 0 all runs verified, 1 a run failed
+// verification, 2 malformed argument (strictly validated, never a silent
+// default), 3 a run could not be carried out or recovered, 4 interrupted by
+// SIGINT/SIGTERM at a step boundary with the final checkpoint and a partial
+// obs report flushed (resumable with --resume).
 
 #include <csignal>
 #include <cstdio>
@@ -23,10 +21,8 @@
 #include "mem/mem.hpp"
 #include "msg/msg_suite.hpp"
 #include "npb/registry.hpp"
+#include "npb/cli.hpp"
 #include "obs/report.hpp"
-#include "svc/cli.hpp"
-#include "svc/report.hpp"
-#include "svc/scheduler.hpp"
 
 namespace {
 
@@ -41,7 +37,7 @@ extern "C" void on_interrupt_signal(int sig) {
 
 void usage(const std::string& error) {
   if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
-  std::fputs(npb::svc::usage_text().c_str(), stderr);
+  std::fputs(npb::cli::usage_text().c_str(), stderr);
   std::fputs("benchmarks:", stderr);
   for (const auto& b : npb::suite()) std::fprintf(stderr, " %s", b.name);
   std::fputs("\nirregular workloads (run by name; excluded from \"all\"):",
@@ -50,88 +46,7 @@ void usage(const std::string& error) {
   std::fputs("\n", stderr);
 }
 
-bool read_all(std::FILE* f, std::string& out) {
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  return std::ferror(f) == 0;
-}
-
-int serve(const npb::svc::CliOptions& opts) {
-  std::string text;
-  if (opts.serve_input.empty()) {
-    if (!read_all(stdin, text)) {
-      std::fputs("error reading job specs from stdin\n", stderr);
-      return 2;
-    }
-  } else {
-    std::FILE* f = std::fopen(opts.serve_input.c_str(), "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open job-spec file '%s'\n",
-                   opts.serve_input.c_str());
-      return 2;
-    }
-    const bool ok = read_all(f, text);
-    std::fclose(f);
-    if (!ok) {
-      std::fprintf(stderr, "error reading job-spec file '%s'\n",
-                   opts.serve_input.c_str());
-      return 2;
-    }
-  }
-
-  // All-or-nothing parse before any job runs: a malformed line must be a
-  // usage error, never a half-run batch.
-  std::string error;
-  const auto specs = npb::svc::parse_job_stream(text, &error);
-  if (!specs) {
-    std::fprintf(stderr, "bad job spec: %s\n", error.c_str());
-    return 2;
-  }
-
-  npb::svc::SchedulerOptions sched_opts;
-  sched_opts.pool_widths = opts.pool_widths;
-  sched_opts.queue_capacity = opts.queue_capacity;
-  npb::svc::JobScheduler scheduler(sched_opts);
-  for (const npb::svc::JobSpec& spec : *specs) scheduler.submit_wait(spec);
-  const std::vector<npb::svc::JobOutcome> outcomes = scheduler.drain();
-
-  int failures = 0;
-  for (const auto& out : outcomes) {
-    const char* status = out.completed
-                             ? (out.verified ? "VERIFICATION SUCCESSFUL"
-                                             : "VERIFICATION FAILED")
-                             : "JOB FAILED";
-    std::printf(
-        "%-12s %-3s class=%s mode=%-6s threads=%-2d  queue %7.3fs  run "
-        "%7.3fs  %s\n",
-        out.spec.id.c_str(), out.spec.benchmark.c_str(),
-        npb::to_string(out.spec.cfg.cls), npb::to_string(out.spec.cfg.mode),
-        out.spec.cfg.threads, out.queue_seconds, out.run_seconds, status);
-    if (!out.error.empty()) std::printf("  error: %s\n", out.error.c_str());
-    if (out.degraded_width > 0)
-      std::printf("  degraded to width %d after %llu injected faults\n",
-                  out.degraded_width,
-                  static_cast<unsigned long long>(out.faults_injected));
-    if (!out.completed || !out.verified) ++failures;
-  }
-
-  const npb::json::Value doc =
-      npb::svc::service_json(outcomes, scheduler.stats());
-  if (opts.service_report.empty()) {
-    std::printf("%s\n", doc.dump().c_str());
-  } else if (npb::svc::write_json(doc, opts.service_report)) {
-    std::fprintf(stderr, "service report (%zu jobs) -> %s\n", outcomes.size(),
-                 opts.service_report.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write service report '%s'\n",
-                 opts.service_report.c_str());
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int run_benchmarks(const npb::svc::CliOptions& opts) {
+int run_benchmarks(const npb::cli::CliOptions& opts) {
   // msg mode dispatches through its own registry (EP/CG/FT/IS only; the CLI
   // has already rejected anything else with exit 2).
   const bool msg_mode = opts.cfg.mode == npb::Mode::Msg;
@@ -170,7 +85,7 @@ int run_benchmarks(const npb::svc::CliOptions& opts) {
 
   npb::obs::ObsReport report;
   int failures = 0;
-  int exit_code = npb::svc::kExitOk;
+  int exit_code = npb::cli::kExitOk;
   for (const auto* b : todo) {
     try {
       const npb::RunResult r = opts.obs_report.empty()
@@ -193,43 +108,41 @@ int run_benchmarks(const npb::svc::CliOptions& opts) {
     } catch (const npb::ckpt::Interrupted& e) {
       std::fprintf(stderr, "%s: %s\n", b->name, e.what());
       add_partial(report, b);
-      exit_code = npb::svc::kExitInterrupted;
+      exit_code = npb::cli::kExitInterrupted;
       break;
     } catch (const npb::fault::RecoveryExhausted& e) {
       std::fprintf(stderr, "%s: recovery exhausted: %s\n", b->name, e.what());
       add_partial(report, b);
-      exit_code = npb::svc::kExitUnrecoverable;
+      exit_code = npb::cli::kExitUnrecoverable;
       break;
     } catch (const npb::ckpt::CkptError& e) {
       std::fprintf(stderr, "%s: checkpoint error: %s\n", b->name, e.what());
       add_partial(report, b);
-      exit_code = npb::svc::kExitUnrecoverable;
+      exit_code = npb::cli::kExitUnrecoverable;
       break;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", b->name, e.what());
       add_partial(report, b);
-      exit_code = npb::svc::kExitUnrecoverable;
+      exit_code = npb::cli::kExitUnrecoverable;
       break;
     }
   }
   if (!opts.obs_report.empty() && report.write(opts.obs_report))
     std::fprintf(stderr, "obs report (%zu runs%s) -> %s\n", report.size(),
-                 exit_code == npb::svc::kExitOk ? "" : ", partial",
+                 exit_code == npb::cli::kExitOk ? "" : ", partial",
                  opts.obs_report.c_str());
-  if (exit_code != npb::svc::kExitOk) return exit_code;
-  return failures == 0 ? npb::svc::kExitOk : npb::svc::kExitVerifyFailed;
+  if (exit_code != npb::cli::kExitOk) return exit_code;
+  return failures == 0 ? npb::cli::kExitOk : npb::cli::kExitVerifyFailed;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string error;
-  const auto opts = npb::svc::parse_npbrun_args(argc, argv, &error);
+  const auto opts = npb::cli::parse_npbrun_args(argc, argv, &error);
   if (!opts) {
     usage(error);
-    return npb::svc::kExitUsage;
+    return npb::cli::kExitUsage;
   }
-  return opts->action == npb::svc::CliOptions::Action::Serve
-             ? serve(*opts)
-             : run_benchmarks(*opts);
+  return run_benchmarks(*opts);
 }
