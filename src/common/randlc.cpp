@@ -1,58 +1,47 @@
 #include "common/randlc.hpp"
 
-#include <cmath>
+#include <cstdint>
 
 namespace npb {
 namespace {
 
-constexpr double kR23 = 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 *
-                        0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5;
-constexpr double kT23 = 1.0 / kR23;
-constexpr double kR46 = kR23 * kR23;
-constexpr double kT46 = kT23 * kT23;
+constexpr std::uint64_t kMask46 = (std::uint64_t{1} << 46) - 1;
+constexpr double kR46 = 1.0 / static_cast<double>(std::uint64_t{1} << 46);
+
+// x * a mod 2^46: the product wraps mod 2^64, whose low 46 bits are the
+// product mod 2^46 because 2^46 divides 2^64.
+constexpr std::uint64_t mul46(std::uint64_t x, std::uint64_t a) noexcept {
+  return (x * a) & kMask46;
+}
 
 }  // namespace
 
 double randlc(double& x, double a) noexcept {
-  // Split a = a1*2^23 + a2 and x = x1*2^23 + x2, then assemble
-  // z = a1*x2 + a2*x1 (mod 2^23) so that a*x = z*2^23 + a2*x2 (mod 2^46).
-  double t1 = kR23 * a;
-  const double a1 = std::trunc(t1);
-  const double a2 = a - kT23 * a1;
-
-  t1 = kR23 * x;
-  const double x1 = std::trunc(t1);
-  const double x2 = x - kT23 * x1;
-
-  t1 = a1 * x2 + a2 * x1;
-  const double t2 = std::trunc(kR23 * t1);
-  const double z = t1 - kT23 * t2;
-  const double t3 = kT23 * z + a2 * x2;
-  const double t4 = std::trunc(kR46 * t3);
-  x = t3 - kT46 * t4;
+  x = static_cast<double>(
+      mul46(static_cast<std::uint64_t>(x), static_cast<std::uint64_t>(a)));
   return kR46 * x;
 }
 
 void vranlc(std::size_t n, double& x, double a, double* y) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] = randlc(x, a);
+  const auto m = static_cast<std::uint64_t>(a);
+  auto s = static_cast<std::uint64_t>(x);
+  for (std::size_t i = 0; i < n; ++i) {
+    s = mul46(s, m);
+    y[i] = kR46 * static_cast<double>(s);
+  }
+  x = static_cast<double>(s);
 }
 
 double randlc_skip(double seed, double a, unsigned long long steps) noexcept {
-  // Advance by computing a^steps (mod 2^46) via square-and-multiply, then a
-  // single randlc step with that composite multiplier per set bit.
-  double t = a;
-  double x = seed;
-  while (steps != 0) {
-    if (steps & 1ULL) (void)randlc(x, t);
-    steps >>= 1;
-    if (steps != 0) {
-      double tt = t;
-      (void)randlc(tt, t);
-      // randlc(tt, t) sets tt = t*tt mod 2^46 with tt==t, i.e. t^2.
-      t = tt;
-    }
+  // Square-and-multiply: t runs through a^(2^k) mod 2^46, and each set bit k
+  // of `steps` multiplies it into x.
+  auto t = static_cast<std::uint64_t>(a);
+  auto x = static_cast<std::uint64_t>(seed);
+  for (; steps != 0; steps >>= 1) {
+    if (steps & 1ULL) x = mul46(x, t);
+    t = mul46(t, t);
   }
-  return x;
+  return static_cast<double>(x);
 }
 
 }  // namespace npb

@@ -42,8 +42,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// noinline: once inlined, GCC pairs the free with the replaced operator new
+// and warns -Wmismatched-new-delete (seen under the tsan preset).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace npb {
 namespace {
