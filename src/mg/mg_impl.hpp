@@ -34,6 +34,11 @@ using Stencil = std::array<double, 4>;
 inline constexpr Stencil kA{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0};
 inline constexpr Stencil kS{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0.0};
 
+// resid and psinv drop these two classes, as NPB's do ("Assume a(1) = 0",
+// "Assume c(3) = 0").
+static_assert(kA[1] == 0.0 && kS[3] == 0.0,
+              "resid assumes no face term in A, psinv no corner term in S");
+
 struct MgOutput {
   double rnm2_initial = 0.0;  ///< ||v - A*0|| / sqrt(N^3) before any V-cycle
   double rnm2_final = 0.0;    ///< residual norm after the last V-cycle
@@ -43,121 +48,134 @@ struct MgOutput {
 template <class P>
 using Grid = Array3<double, P>;
 
-/// Applies the stencil `w` to `in` and combines with `v`:
-///   out(i) = v(i) - w*in(i)        (kResid: residual r = v - A u)
-///   out(i) += w*in(i)              (kApply: smoother u += S r)
-enum class StencilOp { Resid, Apply };
+/// One rank's line buffers for resid and psinv (NPB's u1/u2, r1/r2), sized
+/// for the finest level: l1 holds the four (y±1, z) and (y, z±1) neighbours
+/// of each point of one i1 line, l2 its four (y±1, z±1) neighbours, ghost
+/// columns included.  They are plain Array1s, so java mode bounds-checks
+/// them like the `double[]` scratch of a Java MG.
+template <class P>
+struct Lines {
+  Array1<double, P> l1, l2;
+};
 
-template <class P, StencilOp Op>
-void stencil27(const Grid<P>& in, const Grid<P>* v, Grid<P>& out, const Stencil& w,
-               long n, long lo3, long hi3) {
+/// Fills lines.l1/l2 over i1 in [0, n+1] for line (i3, i2) of `in`, lanes
+/// along i1 under V.
+template <class P, bool V>
+void line_sums(const Grid<P>& in, Lines<P>& lines, long n, long i3, long i2) {
+  const auto z = static_cast<std::size_t>(i3);
+  const auto y = static_cast<std::size_t>(i2);
+  long i1 = 0;
+  if constexpr (V) {
+    static_assert(!P::kChecked, "vec kernels require unchecked access");
+    const long sy = static_cast<long>(in.extent(2));
+    const long sz = static_cast<long>(in.extent(1)) * sy;
+    const double* ip = in.data() + i3 * sz + i2 * sy;
+    constexpr int W = simd::Dvec::width;
+    for (; i1 + W - 1 <= n + 1; i1 += W) {
+      const auto at = [&](long dz, long dy) {
+        return simd::Dvec::load(ip + dz * sz + dy * sy + i1);
+      };
+      simd::store(lines.l1.data() + i1, at(0, -1) + at(0, 1) + at(-1, 0) + at(1, 0));
+      simd::store(lines.l2.data() + i1, at(-1, -1) + at(-1, 1) + at(1, -1) + at(1, 1));
+    }
+  }
+  for (; i1 <= n + 1; ++i1) {
+    const auto x = static_cast<std::size_t>(i1);
+    lines.l1[x] = in(z, y - 1, x) + in(z, y + 1, x) + in(z - 1, y, x) + in(z + 1, y, x);
+    lines.l2[x] = in(z - 1, y - 1, x) + in(z - 1, y + 1, x) + in(z + 1, y - 1, x) +
+                  in(z + 1, y + 1, x);
+  }
+  P::flops(6 * (n + 2));
+}
+
+/// NPB resid: r = v - A u over interior planes [lo3, hi3), in NPB's order
+/// of operations.  `v` may alias `r` (the coarse levels' r = r - A u).
+/// Under V (--mode=vec) lanes ride i1 and each lane evaluates exactly the
+/// scalar expression for its point, so vec differs from native only in FMA
+/// contraction, never in association: MG's tight vec tolerance tier.  The
+/// i1 tail falls back to the scalar body.
+template <class P, bool V>
+void resid(const Grid<P>& u, const Grid<P>& v, Grid<P>& r, Lines<P>& lines, long n,
+           long lo3, long hi3) {
+  const double a0 = kA[0], a2 = kA[2], a3 = kA[3];
   for (long i3 = lo3; i3 < hi3; ++i3) {
     for (long i2 = 1; i2 <= n; ++i2) {
-      for (long i1 = 1; i1 <= n; ++i1) {
-        const auto z = static_cast<std::size_t>(i3);
-        const auto y = static_cast<std::size_t>(i2);
-        const auto x = static_cast<std::size_t>(i1);
-        const double centre = in(z, y, x);
-        const double faces = in(z - 1, y, x) + in(z + 1, y, x) + in(z, y - 1, x) +
-                             in(z, y + 1, x) + in(z, y, x - 1) + in(z, y, x + 1);
-        const double edges = in(z - 1, y - 1, x) + in(z - 1, y + 1, x) +
-                             in(z + 1, y - 1, x) + in(z + 1, y + 1, x) +
-                             in(z - 1, y, x - 1) + in(z - 1, y, x + 1) +
-                             in(z + 1, y, x - 1) + in(z + 1, y, x + 1) +
-                             in(z, y - 1, x - 1) + in(z, y - 1, x + 1) +
-                             in(z, y + 1, x - 1) + in(z, y + 1, x + 1);
-        const double corners = in(z - 1, y - 1, x - 1) + in(z - 1, y - 1, x + 1) +
-                               in(z - 1, y + 1, x - 1) + in(z - 1, y + 1, x + 1) +
-                               in(z + 1, y - 1, x - 1) + in(z + 1, y - 1, x + 1) +
-                               in(z + 1, y + 1, x - 1) + in(z + 1, y + 1, x + 1);
-        const double au = w[0] * centre + w[1] * faces + w[2] * edges + w[3] * corners;
-        P::flops(33);
-        P::muladds(4);
-        if constexpr (Op == StencilOp::Resid) {
-          out(z, y, x) = (*v)(z, y, x) - au;
-        } else {
-          out(z, y, x) += au;
+      line_sums<P, V>(u, lines, n, i3, i2);
+      const auto z = static_cast<std::size_t>(i3);
+      const auto y = static_cast<std::size_t>(i2);
+      const auto& l1 = lines.l1;
+      const auto& l2 = lines.l2;
+      long i1 = 1;
+      if constexpr (V) {
+        const long base = static_cast<long>((z * r.extent(1) + y) * r.extent(2));
+        const double* up = u.data() + base;
+        const double* vp = v.data() + base;
+        double* rp = r.data() + base;
+        const double* p1 = l1.data();
+        const double* p2 = l2.data();
+        constexpr int W = simd::Dvec::width;
+        const auto w0 = simd::Dvec::broadcast(a0);
+        const auto w2 = simd::Dvec::broadcast(a2);
+        const auto w3 = simd::Dvec::broadcast(a3);
+        using simd::load;
+        for (; i1 + W - 1 <= n; i1 += W) {
+          simd::store(rp + i1, load(vp + i1) - w0 * load(up + i1) -
+                                   w2 * (load(p2 + i1) + load(p1 + i1 - 1) +
+                                         load(p1 + i1 + 1)) -
+                                   w3 * (load(p2 + i1 - 1) + load(p2 + i1 + 1)));
         }
       }
+      for (; i1 <= n; ++i1) {
+        const auto x = static_cast<std::size_t>(i1);
+        r(z, y, x) = v(z, y, x) - a0 * u(z, y, x) -
+                     a2 * (l2[x] + l1[x - 1] + l1[x + 1]) - a3 * (l2[x - 1] + l2[x + 1]);
+      }
+      P::flops(9 * n);
+      P::muladds(3 * n);
     }
   }
 }
 
-/// Hand-vectorized stencil27 for --mode=vec: lanes ride the unit-stride i1
-/// axis, so the 27 neighbour reads become 27 contiguous (unaligned) vector
-/// loads per W output points.  Each lane evaluates exactly the scalar
-/// expression for its element — neighbour sums in the same order, then the
-/// four coefficient mul-adds — so the only scalar-vs-vec divergence is FMA
-/// contraction choice, not reassociation; this is why MG's tolerance tier is
-/// the tightest of the vec benchmarks.  The i1 tail (interior extents are
-/// powers of two, off by one from the lane grid) falls back to the scalar
-/// body.
-template <class P, StencilOp Op>
-void stencil27_vec(const Grid<P>& in, const Grid<P>* v, Grid<P>& out,
-                   const Stencil& w, long n, long lo3, long hi3) {
-  static_assert(!P::kChecked, "vec kernels require unchecked access");
-  const double* ip = in.data();
-  const double* vp = v != nullptr ? v->data() : nullptr;
-  double* op = out.data();
-  const long sy = static_cast<long>(in.extent(2));  // +1 in i2
-  const long sz = static_cast<long>(in.extent(1)) * sy;  // +1 in i3
-  constexpr int W = simd::Dvec::width;
-  const simd::Dvec w0 = simd::Dvec::broadcast(w[0]);
-  const simd::Dvec w1 = simd::Dvec::broadcast(w[1]);
-  const simd::Dvec w2 = simd::Dvec::broadcast(w[2]);
-  const simd::Dvec w3 = simd::Dvec::broadcast(w[3]);
+/// NPB psinv: the smoother u += S r over interior planes [lo3, hi3), in
+/// NPB's order of operations; V as in resid.
+template <class P, bool V>
+void psinv(const Grid<P>& r, Grid<P>& u, Lines<P>& lines, long n, long lo3, long hi3) {
+  const double c0 = kS[0], c1 = kS[1], c2 = kS[2];
   for (long i3 = lo3; i3 < hi3; ++i3) {
     for (long i2 = 1; i2 <= n; ++i2) {
-      const long base = i3 * sz + i2 * sy;
-      long x = 1;
-      for (; x + W - 1 <= n; x += W) {
-        const auto at = [&](long dz, long dy, long dx) {
-          return simd::Dvec::load(ip + base + dz * sz + dy * sy + x + dx);
-        };
-        const simd::Dvec centre = at(0, 0, 0);
-        const simd::Dvec faces = at(-1, 0, 0) + at(1, 0, 0) + at(0, -1, 0) +
-                                 at(0, 1, 0) + at(0, 0, -1) + at(0, 0, 1);
-        const simd::Dvec edges = at(-1, -1, 0) + at(-1, 1, 0) + at(1, -1, 0) +
-                                 at(1, 1, 0) + at(-1, 0, -1) + at(-1, 0, 1) +
-                                 at(1, 0, -1) + at(1, 0, 1) + at(0, -1, -1) +
-                                 at(0, -1, 1) + at(0, 1, -1) + at(0, 1, 1);
-        const simd::Dvec corners = at(-1, -1, -1) + at(-1, -1, 1) +
-                                   at(-1, 1, -1) + at(-1, 1, 1) +
-                                   at(1, -1, -1) + at(1, -1, 1) +
-                                   at(1, 1, -1) + at(1, 1, 1);
-        const simd::Dvec au = w0 * centre + w1 * faces + w2 * edges + w3 * corners;
-        if constexpr (Op == StencilOp::Resid) {
-          simd::store(op + base + x, simd::Dvec::load(vp + base + x) - au);
-        } else {
-          simd::store(op + base + x, simd::Dvec::load(op + base + x) + au);
+      line_sums<P, V>(r, lines, n, i3, i2);
+      const auto z = static_cast<std::size_t>(i3);
+      const auto y = static_cast<std::size_t>(i2);
+      const auto& l1 = lines.l1;
+      const auto& l2 = lines.l2;
+      long i1 = 1;
+      if constexpr (V) {
+        const long base = static_cast<long>((z * u.extent(1) + y) * u.extent(2));
+        const double* rp = r.data() + base;
+        double* up = u.data() + base;
+        const double* p1 = l1.data();
+        const double* p2 = l2.data();
+        constexpr int W = simd::Dvec::width;
+        const auto w0 = simd::Dvec::broadcast(c0);
+        const auto w1 = simd::Dvec::broadcast(c1);
+        const auto w2 = simd::Dvec::broadcast(c2);
+        using simd::load;
+        for (; i1 + W - 1 <= n; i1 += W) {
+          simd::store(up + i1, load(up + i1) + w0 * load(rp + i1) +
+                                   w1 * (load(rp + i1 - 1) + load(rp + i1 + 1) +
+                                         load(p1 + i1)) +
+                                   w2 * (load(p2 + i1) + load(p1 + i1 - 1) +
+                                         load(p1 + i1 + 1)));
         }
       }
-      for (; x <= n; ++x) {
-        const double centre = ip[base + x];
-        const double faces = ip[base - sz + x] + ip[base + sz + x] +
-                             ip[base - sy + x] + ip[base + sy + x] +
-                             ip[base + x - 1] + ip[base + x + 1];
-        const double edges =
-            ip[base - sz - sy + x] + ip[base - sz + sy + x] +
-            ip[base + sz - sy + x] + ip[base + sz + sy + x] +
-            ip[base - sz + x - 1] + ip[base - sz + x + 1] +
-            ip[base + sz + x - 1] + ip[base + sz + x + 1] +
-            ip[base - sy + x - 1] + ip[base - sy + x + 1] +
-            ip[base + sy + x - 1] + ip[base + sy + x + 1];
-        const double corners =
-            ip[base - sz - sy + x - 1] + ip[base - sz - sy + x + 1] +
-            ip[base - sz + sy + x - 1] + ip[base - sz + sy + x + 1] +
-            ip[base + sz - sy + x - 1] + ip[base + sz - sy + x + 1] +
-            ip[base + sz + sy + x - 1] + ip[base + sz + sy + x + 1];
-        const double au = w[0] * centre + w[1] * faces + w[2] * edges + w[3] * corners;
-        if constexpr (Op == StencilOp::Resid) {
-          op[base + x] = vp[base + x] - au;
-        } else {
-          op[base + x] += au;
-        }
+      for (; i1 <= n; ++i1) {
+        const auto x = static_cast<std::size_t>(i1);
+        u(z, y, x) = u(z, y, x) + c0 * r(z, y, x) +
+                     c1 * (r(z, y, x - 1) + r(z, y, x + 1) + l1[x]) +
+                     c2 * (l2[x] + l1[x - 1] + l1[x + 1]);
       }
-      P::flops(33 * n);
-      P::muladds(4 * n);
+      P::flops(10 * n);
+      P::muladds(3 * n);
     }
   }
 }
@@ -304,28 +322,19 @@ void zran3(Grid<P>& v, long n) {
   comm3(v, n);
 }
 
-/// Executes body(lo3, hi3) over interior planes [1, n], either inline or
-/// fork-joined over the team — the MG operators' shared parallel shape.
-/// Every operator writes disjoint output planes, so any schedule yields the
-/// same grid bit-for-bit; on the coarse levels (n < nranks) Dynamic/Guided
-/// let idle ranks pick up planes instead of sitting on empty static blocks.
+/// Executes body(rank, lo3, hi3) over interior planes [1, n], either inline
+/// (as rank 0) or fork-joined over the team — the MG operators' shared
+/// parallel shape.  Every operator writes disjoint output planes, so any
+/// schedule yields the same grid bit-for-bit; on the coarse levels
+/// (n < nranks) Dynamic/Guided let idle ranks pick up planes instead of
+/// sitting on empty static blocks.
 template <class F>
 void over_planes(WorkerTeam* team, Schedule sched, long n, const F& body) {
   if (team == nullptr) {
-    body(1, n + 1);
+    body(0, 1, n + 1);
     return;
   }
-  if (sched.kind == Schedule::Kind::Static) {
-    team->run([&](int rank) {
-      const Range r = partition(1, n + 1, rank, team->size());
-      body(r.lo, r.hi);
-      detail::record_loop_iters(rank, r.size());
-    });
-    return;
-  }
-  ChunkQueue queue;
-  queue.reset(1, n + 1, sched, team->size());
-  team->run([&](int rank) { claim_chunks(queue, rank, body); });
+  parallel_ranges(*team, sched, 1, n + 1, body);
 }
 
 template <class P, bool V = false>
@@ -352,6 +361,13 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
   const auto sf = static_cast<std::size_t>(n + 2);
   Grid<P> v(sf, sf, sf);
   zran3(v, n);
+  // One pair of finest-level line buffers per rank, shared by every level's
+  // resid and psinv.
+  std::vector<Lines<P>> lines(static_cast<std::size_t>(team ? team->size() : 1));
+  for (auto& ln : lines) {
+    ln.l1 = Array1<double, P>(sf);
+    ln.l2 = Array1<double, P>(sf);
+  }
 
   const obs::RegionId r_resid = obs::region("MG/resid");
   const obs::RegionId r_smooth = obs::region("MG/smooth");
@@ -360,10 +376,10 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
   const obs::RegionId r_comm3 = obs::region("MG/comm3");
 
   // The whole V-cycle is written once, generic over the execution shape:
-  // `planes(nl, body)` runs body(lo3, hi3) across the interior planes of an
-  // n=nl level and synchronizes before returning; `master(fn)` runs fn once
-  // (ghost exchanges, coarse zero fills) with its writes published to every
-  // rank before the next phase.  The forked shape maps these onto
+  // `planes(nl, body)` runs body(rank, lo3, hi3) across the interior planes
+  // of an n=nl level and synchronizes before returning; `master(fn)` runs fn
+  // once (ghost exchanges, coarse zero fills) with its writes published to
+  // every rank before the next phase.  The forked shape maps these onto
   // over_planes / a plain call; the fused shape onto ParallelRegion::ranges
   // / a rank-0 section plus barrier — same partitioning either way, so the
   // grids are bit-identical.
@@ -373,11 +389,8 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
     auto& rl = r[static_cast<std::size_t>(l)];
     {
       obs::ScopedTimer ot(r_resid);
-      planes(nl, [&](long lo, long hi) {
-        if constexpr (V)
-          stencil27_vec<P, StencilOp::Resid>(ul, &vv, rl, kA, nl, lo, hi);
-        else
-          stencil27<P, StencilOp::Resid>(ul, &vv, rl, kA, nl, lo, hi);
+      planes(nl, [&](int rank, long lo, long hi) {
+        resid<P, V>(ul, vv, rl, lines[static_cast<std::size_t>(rank)], nl, lo, hi);
       });
     }
     obs::ScopedTimer ot(r_comm3);
@@ -389,11 +402,8 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
     auto& rl = r[static_cast<std::size_t>(l)];
     {
       obs::ScopedTimer ot(r_smooth);
-      planes(nl, [&](long lo, long hi) {
-        if constexpr (V)
-          stencil27_vec<P, StencilOp::Apply>(rl, nullptr, ul, kS, nl, lo, hi);
-        else
-          stencil27<P, StencilOp::Apply>(rl, nullptr, ul, kS, nl, lo, hi);
+      planes(nl, [&](int rank, long lo, long hi) {
+        psinv<P, V>(rl, ul, lines[static_cast<std::size_t>(rank)], nl, lo, hi);
       });
     }
     obs::ScopedTimer ot(r_comm3);
@@ -407,7 +417,7 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
       const long nc = 1L << (l - 1);
       {
         obs::ScopedTimer ot(r_rprj3);
-        planes(nc, [&](long lo, long hi) {
+        planes(nc, [&](int, long lo, long hi) {
           rprj3(r[static_cast<std::size_t>(l)], r[static_cast<std::size_t>(l - 1)], nc,
                 lo, hi);
         });
@@ -424,7 +434,7 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
       master([&] { u[static_cast<std::size_t>(l)].fill(0.0); });
       {
         obs::ScopedTimer ot(r_interp);
-        planes(nl, [&](long lo, long hi) {
+        planes(nl, [&](int, long lo, long hi) {
           interp(u[static_cast<std::size_t>(l - 1)], u[static_cast<std::size_t>(l)], nl,
                  lo, hi);
         });
@@ -440,7 +450,7 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
     // Finest level: add the correction, refresh the residual, smooth.
     {
       obs::ScopedTimer ot(r_interp);
-      planes(n, [&](long lo, long hi) {
+      planes(n, [&](int, long lo, long hi) {
         interp(u[static_cast<std::size_t>(lt - 1)], u[static_cast<std::size_t>(lt)], n,
                lo, hi);
       });
@@ -492,8 +502,7 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts) {
         // barriers.
         spmd(tm, [&](ParallelRegion& rg, int rank) {
           auto planes = [&](long nl, auto&& body) {
-            rg.ranges(rank, sched, 1, nl + 1,
-                      [&](int, long lo, long hi) { body(lo, hi); });
+            rg.ranges(rank, sched, 1, nl + 1, body);
           };
           auto master = [&](auto&& fn) {
             if (rank == 0) fn();

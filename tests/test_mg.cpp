@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "common/verify.hpp"
 #include "mg/mg.hpp"
+#include "mg/mg_impl.hpp"
+#include "obs/obs.hpp"
 
 namespace npb {
 namespace {
@@ -53,6 +58,30 @@ TEST_P(MgThreads, ThreadedMatchesSerialExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, MgThreads, ::testing::Values(1, 2, 3, 4, 8));
+
+#ifndef NPB_OBS_DISABLED
+TEST(Mg, VCyclesAllocateNothing) {
+  // Grids and every rank's resid/psinv line buffers are built before the
+  // timed loop, so three V-cycles take exactly the fresh bytes one does.
+  for (const bool fused : {true, false}) {
+    TeamOptions topts;
+    topts.fused = fused;
+    const auto fresh = [&](int iterations) {
+      auto& reg = obs::ObsRegistry::instance();
+      const obs::Snapshot before = reg.snapshot();
+      mg_detail::mg_run<Unchecked>(MgParams{5, iterations}, 2, topts);
+      const obs::Snapshot after = reg.snapshot();
+      return std::pair<std::uint64_t, double>{
+          after.mem_alloc_count - before.mem_alloc_count,
+          after.mem_bytes_allocated - before.mem_bytes_allocated};
+    };
+    const auto one = fresh(1);
+    const auto three = fresh(3);
+    EXPECT_GT(one.first, 0u);
+    EXPECT_EQ(one, three) << (fused ? "fused" : "forked");
+  }
+}
+#endif
 
 TEST(Mg, WClassResidualAlsoContracts) {
   RunConfig c = cfg_s(Mode::Native, 0);

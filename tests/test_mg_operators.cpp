@@ -1,10 +1,14 @@
 // Mathematical unit tests for MG's grid operators: periodic ghost exchange,
-// stencil action on known fields, restriction/interpolation consistency,
-// and norm behaviour.
+// resid/psinv against a 27-point oracle and on known fields, their access
+// counts, restriction/interpolation consistency, and norm behaviour.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "mg/mg_impl.hpp"
 
@@ -54,14 +58,198 @@ TEST(Comm3, GhostsArePeriodicImages) {
                           static_cast<std::size_t>(n)));
 }
 
-TEST(Stencil27, AnnihilatesConstantsWhenWeightsSumToZero) {
+// MG's operators as a plain 27-point stencil: every neighbour read once,
+// summed by class, then the four coefficient terms.  resid and psinv
+// regroup those sums through their line buffers, so they are held to this
+// oracle within a rounding bound, not bit for bit.
+enum class OracleOp { Resid, Apply };
+
+template <OracleOp Op>
+void stencil27_oracle(const G& in, const G* v, G& out, const Stencil& w, long n) {
+  for (long i3 = 1; i3 <= n; ++i3) {
+    for (long i2 = 1; i2 <= n; ++i2) {
+      for (long i1 = 1; i1 <= n; ++i1) {
+        const auto z = static_cast<std::size_t>(i3);
+        const auto y = static_cast<std::size_t>(i2);
+        const auto x = static_cast<std::size_t>(i1);
+        const double centre = in(z, y, x);
+        const double faces = in(z - 1, y, x) + in(z + 1, y, x) + in(z, y - 1, x) +
+                             in(z, y + 1, x) + in(z, y, x - 1) + in(z, y, x + 1);
+        const double edges = in(z - 1, y - 1, x) + in(z - 1, y + 1, x) +
+                             in(z + 1, y - 1, x) + in(z + 1, y + 1, x) +
+                             in(z - 1, y, x - 1) + in(z - 1, y, x + 1) +
+                             in(z + 1, y, x - 1) + in(z + 1, y, x + 1) +
+                             in(z, y - 1, x - 1) + in(z, y - 1, x + 1) +
+                             in(z, y + 1, x - 1) + in(z, y + 1, x + 1);
+        const double corners = in(z - 1, y - 1, x - 1) + in(z - 1, y - 1, x + 1) +
+                               in(z - 1, y + 1, x - 1) + in(z - 1, y + 1, x + 1) +
+                               in(z + 1, y - 1, x - 1) + in(z + 1, y - 1, x + 1) +
+                               in(z + 1, y + 1, x - 1) + in(z + 1, y + 1, x + 1);
+        const double au = w[0] * centre + w[1] * faces + w[2] * edges + w[3] * corners;
+        if constexpr (Op == OracleOp::Resid) {
+          out(z, y, x) = (*v)(z, y, x) - au;
+        } else {
+          out(z, y, x) += au;
+        }
+      }
+    }
+  }
+}
+
+// The rounding scale of one operator application at each interior point:
+// |base| + sum over the 27 neighbours of |w_class * x|, where base is v
+// (resid) or the incoming u (psinv).
+G oracle_scale(const G& in, const G& base, const Stencil& w, long n) {
+  G mag = make_grid(n);
+  for (long i3 = 1; i3 <= n; ++i3)
+    for (long i2 = 1; i2 <= n; ++i2)
+      for (long i1 = 1; i1 <= n; ++i1) {
+        double m = std::fabs(base(static_cast<std::size_t>(i3), static_cast<std::size_t>(i2),
+                                  static_cast<std::size_t>(i1)));
+        for (long d3 = -1; d3 <= 1; ++d3)
+          for (long d2 = -1; d2 <= 1; ++d2)
+            for (long d1 = -1; d1 <= 1; ++d1) {
+              const int k = (d3 != 0) + (d2 != 0) + (d1 != 0);
+              m += std::fabs(w[static_cast<std::size_t>(k)] *
+                             in(static_cast<std::size_t>(i3 + d3),
+                                static_cast<std::size_t>(i2 + d2),
+                                static_cast<std::size_t>(i1 + d1)));
+            }
+        mag(static_cast<std::size_t>(i3), static_cast<std::size_t>(i2),
+            static_cast<std::size_t>(i1)) = m;
+      }
+  return mag;
+}
+
+template <class P>
+Lines<P> make_lines(long n) {
+  const auto s = static_cast<std::size_t>(n + 2);
+  return Lines<P>{Array1<double, P>(s), Array1<double, P>(s)};
+}
+
+void fill_random(G& g, long n, double seed) {
+  for (long i = 1; i <= n; ++i)
+    for (long j = 1; j <= n; ++j)
+      for (long k = 1; k <= n; ++k)
+        g(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
+          static_cast<std::size_t>(k)) = 2.0 * randlc(seed, kDefaultMultiplier) - 1.0;
+  comm3(g, n);
+}
+
+// |got - want| <= 8 eps sum|w_k x_k| at every interior point; returns the
+// worst ratio of the error to eps * that scale.
+double expect_within_oracle(const G& got, const G& want, const G& mag, long n) {
+  const double eps = std::numeric_limits<double>::epsilon();
+  double worst = 0.0;
+  for (long i = 1; i <= n; ++i)
+    for (long j = 1; j <= n; ++j)
+      for (long k = 1; k <= n; ++k) {
+        const auto z = static_cast<std::size_t>(i);
+        const auto y = static_cast<std::size_t>(j);
+        const auto x = static_cast<std::size_t>(k);
+        const double err = std::fabs(got(z, y, x) - want(z, y, x));
+        EXPECT_LE(err, 8.0 * eps * mag(z, y, x))
+            << "at (" << i << ", " << j << ", " << k << ")";
+        worst = std::max(worst, err / (eps * mag(z, y, x)));
+      }
+  return worst;
+}
+
+class MgOperators : public ::testing::TestWithParam<long> {};
+
+TEST_P(MgOperators, ResidMatchesTheTwentySevenPointOracle) {
+  const long n = GetParam();
+  G u = make_grid(n), v = make_grid(n), r = make_grid(n), want = make_grid(n);
+  fill_random(u, n, 314159265.0);
+  fill_random(v, n, 271828183.0);
+  auto lines = make_lines<Unchecked>(n);
+  resid<Unchecked, false>(u, v, r, lines, n, 1, n + 1);
+  stencil27_oracle<OracleOp::Resid>(u, &v, want, kA, n);
+  const double worst = expect_within_oracle(r, want, oracle_scale(u, v, kA, n), n);
+  RecordProperty("worst_eps_ratio", std::to_string(worst));
+}
+
+TEST_P(MgOperators, AliasedResidMatchesTheOracle) {
+  // resid_level's coarse levels call resid(u, r, r): r = r - A u in place.
+  const long n = GetParam();
+  G u = make_grid(n), r = make_grid(n), want = make_grid(n);
+  fill_random(u, n, 314159265.0);
+  fill_random(r, n, 161803399.0);
+  const G r0 = r;
+  auto lines = make_lines<Unchecked>(n);
+  resid<Unchecked, false>(u, r, r, lines, n, 1, n + 1);
+  stencil27_oracle<OracleOp::Resid>(u, &r0, want, kA, n);
+  expect_within_oracle(r, want, oracle_scale(u, r0, kA, n), n);
+}
+
+TEST_P(MgOperators, PsinvMatchesTheTwentySevenPointOracle) {
+  const long n = GetParam();
+  G r = make_grid(n), u = make_grid(n);
+  fill_random(r, n, 314159265.0);
+  fill_random(u, n, 141421356.0);
+  G want = u;
+  const G mag = oracle_scale(r, u, kS, n);
+  auto lines = make_lines<Unchecked>(n);
+  psinv<Unchecked, false>(r, u, lines, n, 1, n + 1);
+  stencil27_oracle<OracleOp::Apply>(r, nullptr, want, kS, n);
+  expect_within_oracle(u, want, mag, n);
+}
+
+TEST_P(MgOperators, VecLanesMatchTheOracleToo) {
+  const long n = GetParam();
+  G u = make_grid(n), v = make_grid(n), r = make_grid(n), want = make_grid(n);
+  fill_random(u, n, 314159265.0);
+  fill_random(v, n, 271828183.0);
+  auto lines = make_lines<Unchecked>(n);
+  resid<Unchecked, true>(u, v, r, lines, n, 1, n + 1);
+  stencil27_oracle<OracleOp::Resid>(u, &v, want, kA, n);
+  expect_within_oracle(r, want, oracle_scale(u, v, kA, n), n);
+
+  comm3(r, n);
+  G s = make_grid(n);
+  fill_random(s, n, 141421356.0);
+  want = s;
+  const G mag = oracle_scale(r, s, kS, n);
+  psinv<Unchecked, true>(r, s, lines, n, 1, n + 1);
+  stencil27_oracle<OracleOp::Apply>(r, nullptr, want, kS, n);
+  expect_within_oracle(s, want, mag, n);
+}
+
+TEST_P(MgOperators, CountingPinsEachOperatorsAccessesPerCall) {
+  // Line buffers of 2(n+2) sums per i1 line, then 8 (resid) or 9 (psinv)
+  // accesses per point, against the 27-point operator's 29n^3 and 28n^3.
+  const long n = GetParam();
+  using C = Grid<Counting>;
+  const auto s = static_cast<std::size_t>(n + 2);
+  C u(s, s, s), v(s, s, s), r(s, s, s);
+  auto lines = make_lines<Counting>(n);
+  const auto n2 = static_cast<std::uint64_t>(n * n);
+  const auto n1 = static_cast<std::uint64_t>(n);
+
+  Counting::counts().reset();
+  resid<Counting, false>(u, v, r, lines, n, 1, n + 1);
+  EXPECT_EQ(Counting::counts().accesses, n2 * (18 * n1 + 20));
+  EXPECT_EQ(Counting::counts().checks, n2 * (18 * n1 + 20));
+  EXPECT_EQ(Counting::counts().flops, n2 * (15 * n1 + 12));
+
+  Counting::counts().reset();
+  psinv<Counting, false>(r, u, lines, n, 1, n + 1);
+  EXPECT_EQ(Counting::counts().accesses, n2 * (19 * n1 + 20));
+  EXPECT_EQ(Counting::counts().checks, n2 * (19 * n1 + 20));
+  EXPECT_EQ(Counting::counts().flops, n2 * (16 * n1 + 12));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MgOperators, ::testing::Values(4L, 8L, 16L));
+
+TEST(Resid, AnnihilatesConstantsWhenWeightsSumToZero) {
   // The Poisson operator kA has weight sum -8/3 + 6*0 + 12/6 + 8/12 = 0,
   // so A(constant field) == 0 and the residual of u=const, v=0 is 0.
   const long n = 8;
   G u = make_grid(n), v = make_grid(n), r = make_grid(n);
   fill_interior(u, n, [](long, long, long) { return 3.7; });
   comm3(u, n);
-  stencil27<Unchecked, StencilOp::Resid>(u, &v, r, kA, n, 1, n + 1);
+  auto lines = make_lines<Unchecked>(n);
+  resid<Unchecked, false>(u, v, r, lines, n, 1, n + 1);
   for (long i = 1; i <= n; ++i)
     for (long j = 1; j <= n; ++j)
       for (long k = 1; k <= n; ++k)
@@ -70,7 +258,7 @@ TEST(Stencil27, AnnihilatesConstantsWhenWeightsSumToZero) {
                     0.0, 1e-13);
 }
 
-TEST(Stencil27, ActsAsNegativeDefiniteOnOddModes) {
+TEST(Resid, ActsAsNegativeDefiniteOnOddModes) {
   // For the highest-frequency mode s(i,j,k) = (-1)^(i+j+k), faces/edges/
   // corners alternate sign: A s = (a0 - 6a1 + 12a2*... ) computable exactly.
   const long n = 8;
@@ -79,7 +267,8 @@ TEST(Stencil27, ActsAsNegativeDefiniteOnOddModes) {
     return ((i + j + k) % 2 == 0) ? 1.0 : -1.0;
   });
   comm3(u, n);
-  stencil27<Unchecked, StencilOp::Resid>(u, &v, r, kA, n, 1, n + 1);
+  auto lines = make_lines<Unchecked>(n);
+  resid<Unchecked, false>(u, v, r, lines, n, 1, n + 1);
   // Neighbour parities: 6 faces flip sign, 12 edges keep it, 8 corners flip.
   const double expected_factor = -(kA[0] - 6.0 * kA[1] + 12.0 * kA[2] - 8.0 * kA[3]);
   for (long i = 1; i <= n; ++i)
